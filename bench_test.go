@@ -10,8 +10,8 @@
 package scoop
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"

@@ -8,9 +8,9 @@
 package main
 
 import (
-	"context"
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"

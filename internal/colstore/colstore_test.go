@@ -1,8 +1,8 @@
 package colstore
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"

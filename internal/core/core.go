@@ -387,28 +387,40 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	}
 
 	before := s.conn.Stats()
+	// Each task folds its split into a partial aggregate on the compute
+	// worker that reads it; the driver only merges the partials.
 	tasks := make([]compute.Task, len(splits))
 	for i, split := range splits {
 		split := split
 		tasks[i] = func(ctx context.Context) (any, error) {
+			part, err := exec.NewPartial(p)
+			if err != nil {
+				return nil, err
+			}
 			it, err := rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
 			if err != nil {
 				return nil, err
 			}
 			defer it.Close()
-			var rows []types.Row
+			// ctx.Err locks the job context every worker shares; polling
+			// Done does not.
+			done := ctx.Done()
 			for {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+				select {
+				case <-done:
+					return nil, ctx.Err()
+				default:
 				}
 				r, err := it.Next()
 				if err == io.EOF {
-					return rows, nil
+					return part, nil
 				}
 				if err != nil {
 					return nil, err
 				}
-				rows = append(rows, r)
+				if err := part.Add(r); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -416,14 +428,13 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []types.Row
+	parts := make([]*exec.Partial, len(results))
 	var scanned int64
-	for _, v := range results {
-		rows := v.([]types.Row)
-		scanned += int64(len(rows))
-		all = append(all, rows...)
+	for i, v := range results {
+		parts[i] = v.(*exec.Partial)
+		scanned += parts[i].Rows()
 	}
-	res, err := exec.Execute(p, exec.NewSliceIterator(all))
+	res, err := exec.Finish(p, parts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,20 @@ package core
 
 import (
 	"context"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"scoop/internal/adaptive"
+	"scoop/internal/compute"
 	"scoop/internal/datasource"
 	"scoop/internal/meter"
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/exec"
+	"scoop/internal/sql/parser"
+	"scoop/internal/sql/plan"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet/aggfilter"
 )
@@ -150,6 +156,92 @@ func TestQueryCancellation(t *testing.T) {
 	cancel()
 	if _, err := s.Query("SELECT count(*) FROM largeMeter", QueryOptions{Context: ctx}); err == nil {
 		t.Error("cancelled context should fail the query")
+	}
+}
+
+// Aggregation folds on the compute workers, one partial per split: four
+// workers over 16+ splits must give what Execute gives over the same rows
+// on one goroutine. Meant for -race -count=10.
+func TestParallelPartialAggregationMatchesSerial(t *testing.T) {
+	s, err := New(Config{ChunkSize: 4 << 10, Compute: compute.Config{Workers: 4, Retries: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := meter.DefaultConfig()
+	cfg.Meters = 20
+	cfg.Days = 3
+	cfg.Interval = time.Hour
+	if _, err := s.UploadMeterDataset(context.Background(), "meters", cfg, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterTable("largeMeter", "meters", "", meter.SchemaDecl, datasource.CSVOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT vid, count(*) AS n, sum(index) AS s, avg(index) AS a, min(index) AS lo, max(date) AS hi, " +
+		"first_value(date) AS d, count(DISTINCT city) AS c FROM largeMeter " +
+		"WHERE city LIKE 'R%' OR state LIKE 'F%' GROUP BY vid HAVING count(*) > 1 ORDER BY vid"
+	sel, err := parser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := types.ParseSchema(meter.SchemaDecl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := plan.Analyze(sel, schema, plan.Options{DisablePredicatePushdown: true, DisableProjectionPushdown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The serial reference reads every split in order on this goroutine.
+	rel, err := s.tables["largemeter"].newRelation(s.conn, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := rel.Splits(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []types.Row
+	for _, split := range splits {
+		it, err := rel.ScanPrunedFiltered(context.Background(), split, serial.Required, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			r, err := it.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, r)
+		}
+		it.Close()
+	}
+	want, err := exec.Execute(serial, exec.NewSliceIterator(all))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModePushdown, ModeBaseline} {
+		got, err := s.Query(q, QueryOptions{Mode: mode})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got.Metrics.Splits < 16 {
+			t.Fatalf("%v: %d splits, want at least 16", mode, got.Metrics.Splits)
+		}
+		if len(want.Rows) == 0 || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%v: %d rows, serial %d", mode, len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			for j, w := range want.Rows[i] {
+				g := got.Rows[i][j]
+				if g.T != w.T || g.S != w.S || g.I != w.I || math.Abs(g.F-w.F) > 1e-9*math.Abs(w.F) {
+					t.Fatalf("%v: row %d col %d: %#v, serial %#v", mode, i, j, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -186,8 +186,9 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 	// Baseline: raw ranged GET; alignment, header skip, parse, prune and
 	// filter all happen here at the compute node. The GET extends to the
 	// object's end so the record straddling the split boundary can be
-	// finished; the range reader stops just past End and the lazy HTTP body
-	// means the tail is never actually transferred.
+	// finished. The range reader stops just past End and the iterator then
+	// closes the stream, so what is read from the store — and, over HTTP,
+	// transferred — is the split plus at most one buffered read beyond it.
 	open := split
 	open.End = split.ObjectSize
 	rc, err := r.conn.Open(ctx, open, nil)

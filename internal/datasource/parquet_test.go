@@ -1,8 +1,8 @@
 package datasource
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 

@@ -17,7 +17,10 @@ import (
 // consumption the paper measures in Fig. 10 (CPU spent on filters vs. plain
 // serving).
 type NodeStats struct {
-	// BytesRead counts bytes read from local storage.
+	// BytesRead counts bytes read from local storage: what the caller (or
+	// the filter chain) actually pulled from the store stream, charged when
+	// the stream closes. A GET open to the object's end that is closed
+	// early charges only the prefix it read.
 	BytesRead int64
 	// BytesSent counts bytes returned to the proxy (post-filter).
 	BytesSent int64
@@ -138,7 +141,6 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	}
 	n.mu.Lock()
 	n.stats.Requests++
-	n.stats.BytesRead += end - start
 	if len(tasks) > 0 {
 		n.stats.FilteredRequests++
 	}
@@ -153,7 +155,8 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 		ObjectSize: info.Size,
 	}
 	filterStart := time.Now()
-	out, err := n.engine.RunChain(sctx, tasks, rc)
+	src := &storeCounter{r: rc}
+	out, err := n.engine.RunChain(sctx, tasks, src)
 	if err != nil {
 		rc.Close()
 		n.countError()
@@ -161,7 +164,7 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	}
 	// The chain never closes its input; tie the store reader's lifetime to
 	// the filtered stream so disk-backed stores don't leak descriptors.
-	return &countedCloser{rc: out, node: n, filterStart: filterStart, filtered: true, also: rc}, info, nil
+	return &countedCloser{rc: out, node: n, filterStart: filterStart, src: src, also: rc}, info, nil
 }
 
 // Ping probes the node's storage engine for liveness — the health check's
@@ -208,15 +211,17 @@ func (n *Node) List(ctx context.Context, prefix string) ([]ObjectInfo, error) {
 	return n.store.List(ctx, prefix), nil
 }
 
-// countedCloser accounts outbound bytes and filter wall time as the stream
-// is consumed.
+// countedCloser accounts bytes read and sent, and filter wall time, as the
+// stream is consumed.
 type countedCloser struct {
 	rc          io.ReadCloser
 	node        *Node
 	n           int64
-	filtered    bool
 	filterStart time.Time
-	closed      bool
+	// src counts what a filter chain pulled from the store stream; nil for
+	// an unfiltered GET, whose bytes read are the bytes sent.
+	src    *storeCounter
+	closed bool
 	// also is an extra resource released on Close (the raw store stream
 	// feeding a filter chain).
 	also io.Closer
@@ -233,9 +238,14 @@ func (c *countedCloser) Close() error {
 		return nil
 	}
 	c.closed = true
+	read := c.n
+	if c.src != nil {
+		read = c.src.n.Load()
+	}
 	c.node.mu.Lock()
+	c.node.stats.BytesRead += read
 	c.node.stats.BytesSent += c.n
-	if c.filtered {
+	if c.src != nil {
 		c.node.stats.FilterTime += time.Since(c.filterStart)
 	}
 	c.node.mu.Unlock()
@@ -248,4 +258,17 @@ func (c *countedCloser) Close() error {
 		}
 	}
 	return err
+}
+
+// storeCounter counts the bytes a filter chain reads from the store stream.
+// The chain reads on its own goroutine, so the count is atomic.
+type storeCounter struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (s *storeCounter) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.n.Add(int64(n))
+	return n, err
 }

@@ -187,6 +187,35 @@ func TestPushdownGet(t *testing.T) {
 	}
 }
 
+// A GET open to the object's end that the caller closes after a prefix —
+// how a baseline split scan reads — charges the node only the bytes pulled.
+func TestNodeBytesReadCountsConsumedPrefix(t *testing.T) {
+	c := newTestCluster(t)
+	cl := c.Client()
+	_ = cl.CreateContainer(context.Background(), "gp", "meters", nil)
+	const size = 1 << 20
+	mustPut(t, cl, "gp", "meters", "big.csv", strings.Repeat("x", size))
+	c.ResetStats()
+
+	rc, _, err := cl.GetObject(context.Background(), "gp", "meters", "big.csv", GetOptions{RangeStart: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(rc, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ns := c.NodeStatsTotal()
+	if ns.BytesRead < 4096 || ns.BytesRead > size/4 {
+		t.Errorf("node BytesRead = %d after reading 4096 of %d bytes", ns.BytesRead, size-100)
+	}
+	if ns.BytesRead != ns.BytesSent {
+		t.Errorf("unfiltered GET: BytesRead %d != BytesSent %d", ns.BytesRead, ns.BytesSent)
+	}
+}
+
 func TestPushdownStageProxy(t *testing.T) {
 	c := newTestCluster(t)
 	cl := c.Client()

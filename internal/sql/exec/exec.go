@@ -2,7 +2,8 @@
 // the filtering not pushed to the object store, projection, aggregation,
 // HAVING, DISTINCT, ORDER BY and LIMIT. In the paper's workflow this is the
 // processing that remains on Spark workers and the driver after Swift has
-// returned filtered data.
+// returned filtered data: each split's rows fold into a Partial inside the
+// task that reads the split, and Finish merges the partials once.
 package exec
 
 import (
@@ -57,23 +58,153 @@ type Result struct {
 }
 
 // Execute runs the residual plan over input rows (already pruned to
-// p.Read's layout and already filtered by any pushed predicates).
+// p.Read's layout and already filtered by any pushed predicates): one
+// Partial over the whole input, then Finish.
 func Execute(p *plan.Plan, input Iterator) (*Result, error) {
 	defer input.Close()
-
-	filtered, err := applyResidual(p, input)
+	part, err := NewPartial(p)
 	if err != nil {
 		return nil, err
 	}
+	for {
+		r, err := input.Next()
+		if errors.Is(err, io.EOF) {
+			return Finish(p, []*Partial{part})
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := part.Add(r); err != nil {
+			return nil, err
+		}
+	}
+}
 
+// Partial is the fold state of one split. Add applies the residual filter
+// to each row, then updates the row's group accumulators (aggregate plans)
+// or keeps its projected, ORDER BY-keyed output row. A Partial is used by
+// one goroutine at a time; partials of different splits share nothing but
+// the read-only plan.
+type Partial struct {
+	p     *plan.Plan
+	calls []*expr.Call
+	rows  int64
+
+	groups map[string]*group
+	order  []*group // first appearance
+	key    []byte   // group-key scratch, reused across rows
+
+	out []keyedRow
+}
+
+// group holds per-group state.
+type group struct {
+	key      string
+	firstRow types.Row
+	accs     []accumulator
+}
+
+// keyedRow pairs an output row with its ORDER BY key values.
+type keyedRow struct {
+	row  types.Row
+	keys []types.Value
+}
+
+// NewPartial returns an empty fold state for p. It fails when p uses an
+// aggregate the executor does not support.
+func NewPartial(p *plan.Plan) (*Partial, error) {
+	pt := &Partial{p: p}
+	if p.Aggregate {
+		pt.calls, _ = aggCalls(p)
+		if _, err := newAccumulators(pt.calls); err != nil {
+			return nil, err
+		}
+		pt.groups = make(map[string]*group)
+	}
+	return pt, nil
+}
+
+// Rows returns the number of rows handed to Add, before the residual filter.
+func (pt *Partial) Rows() int64 { return pt.rows }
+
+// Add folds one input row into the partial.
+func (pt *Partial) Add(r types.Row) error {
+	pt.rows++
+	p := pt.p
+	if p.Residual != nil {
+		ok, err := expr.EvalPredicate(p.Residual, r)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+	}
+	if !p.Aggregate {
+		outRow := make(types.Row, len(p.Items))
+		for i, it := range p.Items {
+			v, err := it.Expr.Eval(r)
+			if err != nil {
+				return err
+			}
+			outRow[i] = v
+		}
+		keys, err := orderKeys(p.OrderBy, r, nil)
+		if err != nil {
+			return err
+		}
+		pt.out = append(pt.out, keyedRow{row: outRow, keys: keys})
+		return nil
+	}
+
+	key := pt.key[:0]
+	for _, g := range p.GroupBy {
+		v, err := g.Eval(r)
+		if err != nil {
+			return err
+		}
+		key = appendKey(key, v)
+	}
+	pt.key = key
+	g := pt.groups[string(key)] // no allocation: the conversion only indexes
+	if g == nil {
+		accs, err := newAccumulators(pt.calls)
+		if err != nil {
+			return err
+		}
+		g = &group{key: string(key), firstRow: r, accs: accs}
+		pt.groups[g.key] = g
+		pt.order = append(pt.order, g)
+	}
+	for _, acc := range g.accs {
+		if err := acc.add(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Finish merges parts in split order and runs HAVING, DISTINCT, ORDER BY
+// and LIMIT over the merged rows. The result equals Execute over the
+// concatenation of the parts' inputs: groups appear in order of first
+// appearance, and a group's non-aggregate items read its earliest row.
+// Finish consumes the partials; parts[0] absorbs the others.
+func Finish(p *plan.Plan, parts []*Partial) (*Result, error) {
 	var out []keyedRow
 	if p.Aggregate {
-		out, err = aggregate(p, filtered)
+		var err error
+		if out, err = finishGroups(p, parts); err != nil {
+			return nil, err
+		}
 	} else {
-		out, err = project(p, filtered)
-	}
-	if err != nil {
-		return nil, err
+		n := 0
+		for _, pt := range parts {
+			n += len(pt.out)
+		}
+		out = make([]keyedRow, 0, n)
+		for _, pt := range parts {
+			out = append(out, pt.out...)
+		}
 	}
 
 	if p.Sel.Distinct {
@@ -92,24 +223,56 @@ func Execute(p *plan.Plan, input Iterator) (*Result, error) {
 	return &Result{Schema: p.Output, Rows: rows}, nil
 }
 
-// keyedRow pairs an output row with its ORDER BY key values.
-type keyedRow struct {
-	row  types.Row
-	keys []types.Value
-}
-
-func applyResidual(p *plan.Plan, input Iterator) ([]types.Row, error) {
-	var rows []types.Row
-	for {
-		r, err := input.Next()
-		if errors.Is(err, io.EOF) {
-			return rows, nil
+// finishGroups merges the partials' groups and renders one output row per
+// group that passes HAVING.
+func finishGroups(p *plan.Plan, parts []*Partial) ([]keyedRow, error) {
+	calls, index := aggCalls(p)
+	var order []*group
+	if len(parts) > 0 {
+		dst := parts[0]
+		for _, src := range parts[1:] {
+			for _, g := range src.order {
+				d := dst.groups[g.key]
+				if d == nil {
+					dst.groups[g.key] = g
+					dst.order = append(dst.order, g)
+					continue
+				}
+				for i, acc := range d.accs {
+					acc.merge(g.accs[i])
+				}
+			}
 		}
+		order = dst.order
+	}
+
+	// Global aggregates over an empty input still produce one row
+	// (COUNT(*) = 0 etc.), but only when there is no GROUP BY.
+	if len(order) == 0 && len(p.GroupBy) == 0 {
+		accs, err := newAccumulators(calls)
 		if err != nil {
 			return nil, err
 		}
-		if p.Residual != nil {
-			ok, err := expr.EvalPredicate(p.Residual, r)
+		order = append(order, &group{firstRow: make(types.Row, p.Read.Len()), accs: accs})
+	}
+
+	out := make([]keyedRow, 0, len(order))
+	for _, g := range order {
+		// substitute computed aggregate values into the expressions, then
+		// evaluate against the group's first row (non-aggregate parts of an
+		// item therefore get first-row semantics, as Table I queries expect).
+		subst := func(e expr.Expr) expr.Expr {
+			return expr.Transform(e, func(n expr.Expr) (expr.Expr, bool) {
+				if c, ok := n.(*expr.Call); ok && expr.IsAggregate(c.Name) {
+					if i, ok := index[c.String()]; ok {
+						return &expr.Literal{Val: g.accs[i].value()}, true
+					}
+				}
+				return nil, false
+			})
+		}
+		if p.Having != nil {
+			ok, err := expr.EvalPredicate(subst(p.Having), g.firstRow)
 			if err != nil {
 				return nil, err
 			}
@@ -117,22 +280,15 @@ func applyResidual(p *plan.Plan, input Iterator) ([]types.Row, error) {
 				continue
 			}
 		}
-		rows = append(rows, r)
-	}
-}
-
-func project(p *plan.Plan, rows []types.Row) ([]keyedRow, error) {
-	out := make([]keyedRow, 0, len(rows))
-	for _, r := range rows {
 		outRow := make(types.Row, len(p.Items))
 		for i, it := range p.Items {
-			v, err := it.Expr.Eval(r)
+			v, err := subst(it.Expr).Eval(g.firstRow)
 			if err != nil {
 				return nil, err
 			}
 			outRow[i] = v
 		}
-		keys, err := orderKeys(p.OrderBy, r)
+		keys, err := orderKeys(p.OrderBy, g.firstRow, subst)
 		if err != nil {
 			return nil, err
 		}
@@ -141,13 +297,19 @@ func project(p *plan.Plan, rows []types.Row) ([]keyedRow, error) {
 	return out, nil
 }
 
-func orderKeys(orderBy []parser.OrderItem, r types.Row) ([]types.Value, error) {
+// orderKeys evaluates the ORDER BY expressions against r, each rewritten by
+// subst when it is non-nil.
+func orderKeys(orderBy []parser.OrderItem, r types.Row, subst func(expr.Expr) expr.Expr) ([]types.Value, error) {
 	if len(orderBy) == 0 {
 		return nil, nil
 	}
 	keys := make([]types.Value, len(orderBy))
 	for i, o := range orderBy {
-		v, err := o.Expr.Eval(r)
+		e := o.Expr
+		if subst != nil {
+			e = subst(e)
+		}
+		v, err := e.Eval(r)
 		if err != nil {
 			return nil, err
 		}
@@ -156,12 +318,82 @@ func orderKeys(orderBy []parser.OrderItem, r types.Row) ([]types.Value, error) {
 	return keys, nil
 }
 
+// aggCalls collects the distinct aggregate calls used anywhere in the query,
+// and indexes them by their rendered form.
+func aggCalls(p *plan.Plan) ([]*expr.Call, map[string]int) {
+	var calls []*expr.Call
+	index := make(map[string]int)
+	collect := func(e expr.Expr) {
+		for _, c := range expr.Aggregates(e) {
+			if _, ok := index[c.String()]; !ok {
+				index[c.String()] = len(calls)
+				calls = append(calls, c)
+			}
+		}
+	}
+	for _, it := range p.Items {
+		collect(it.Expr)
+	}
+	if p.Having != nil {
+		collect(p.Having)
+	}
+	for _, o := range p.OrderBy {
+		collect(o.Expr)
+	}
+	return calls, index
+}
+
+// appendKey appends v's collision-safe key form to b: NULL and the empty
+// string differ, and every value is terminated.
+func appendKey(b []byte, v types.Value) []byte {
+	if v.IsNull() {
+		return append(b, 0x01, 0x00)
+	}
+	b = append(b, 0x02)
+	b = append(b, v.AsString()...)
+	return append(b, 0x00)
+}
+
+func distinct(rows []keyedRow) []keyedRow {
+	seen := make(map[string]bool, len(rows))
+	out := rows[:0]
+	var key []byte
+	for _, kr := range rows {
+		key = key[:0]
+		for _, v := range kr.row {
+			key = appendKey(key, v)
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			out = append(out, kr)
+		}
+	}
+	return out
+}
+
 // --- Aggregation ---
 
-// accumulator updates one aggregate over a group's rows.
+// accumulator updates one aggregate over a group's rows. merge folds in
+// the state of the same aggregate over a later split's rows, so that
+// merging per-split accumulators in split order equals adding every row in
+// that order (up to float addition order for SUM and AVG).
 type accumulator interface {
 	add(row types.Row) error
+	merge(later accumulator)
 	value() types.Value
+}
+
+// newAccumulators returns fresh accumulators for calls, in order.
+func newAccumulators(calls []*expr.Call) ([]accumulator, error) {
+	accs := make([]accumulator, len(calls))
+	for i, c := range calls {
+		acc, err := newAccumulator(c)
+		if err != nil {
+			return nil, err
+		}
+		accs[i] = acc
+	}
+	return accs, nil
 }
 
 func newAccumulator(c *expr.Call) (accumulator, error) {
@@ -228,6 +460,8 @@ func (a *countAcc) add(row types.Row) error {
 	return nil
 }
 
+func (a *countAcc) merge(later accumulator) { a.n += later.(*countAcc).n }
+
 func (a *countAcc) value() types.Value { return types.IntV(a.n) }
 
 type sumAcc struct {
@@ -251,6 +485,12 @@ func (a *sumAcc) add(row types.Row) error {
 	a.sum += f
 	a.any = true
 	return nil
+}
+
+func (a *sumAcc) merge(later accumulator) {
+	b := later.(*sumAcc)
+	a.sum += b.sum
+	a.any = a.any || b.any
 }
 
 func (a *sumAcc) value() types.Value {
@@ -281,6 +521,12 @@ func (a *avgAcc) add(row types.Row) error {
 	a.sum += f
 	a.n++
 	return nil
+}
+
+func (a *avgAcc) merge(later accumulator) {
+	b := later.(*avgAcc)
+	a.sum += b.sum
+	a.n += b.n
 }
 
 func (a *avgAcc) value() types.Value {
@@ -317,6 +563,22 @@ func (a *minMaxAcc) add(row types.Row) error {
 	return nil
 }
 
+// merge keeps the earlier best on ties, as add does.
+func (a *minMaxAcc) merge(later accumulator) {
+	b := later.(*minMaxAcc)
+	if !b.any {
+		return
+	}
+	if !a.any {
+		a.best, a.any = b.best, true
+		return
+	}
+	c := b.best.Compare(a.best)
+	if (a.min && c < 0) || (!a.min && c > 0) {
+		a.best = b.best
+	}
+}
+
 func (a *minMaxAcc) value() types.Value {
 	if !a.any {
 		return types.NullValue()
@@ -344,6 +606,12 @@ func (a *firstAcc) add(row types.Row) error {
 	a.v = v
 	a.any = true
 	return nil
+}
+
+func (a *firstAcc) merge(later accumulator) {
+	if b := later.(*firstAcc); !a.any && b.any {
+		a.v, a.any = b.v, true
+	}
 }
 
 func (a *firstAcc) value() types.Value {
@@ -376,6 +644,19 @@ func (a *distinctAcc) add(row types.Row) error {
 	return nil
 }
 
+// merge lets the later split's value win per rendered key, as add lets the
+// later row's.
+func (a *distinctAcc) merge(later accumulator) {
+	b := later.(*distinctAcc)
+	if a.seen == nil {
+		a.seen = b.seen
+		return
+	}
+	for k, v := range b.seen {
+		a.seen[k] = v
+	}
+}
+
 func (a *distinctAcc) value() types.Value {
 	if a.count {
 		return types.IntV(int64(len(a.seen)))
@@ -391,173 +672,6 @@ func (a *distinctAcc) value() types.Value {
 		}
 	}
 	return types.FloatV(sum)
-}
-
-// group holds per-group state.
-type group struct {
-	firstRow types.Row
-	accs     []accumulator
-}
-
-func aggregate(p *plan.Plan, rows []types.Row) ([]keyedRow, error) {
-	// Collect the distinct aggregate calls used anywhere in the query.
-	var aggCalls []*expr.Call
-	seen := make(map[string]int)
-	collect := func(e expr.Expr) {
-		for _, c := range expr.Aggregates(e) {
-			if _, ok := seen[c.String()]; !ok {
-				seen[c.String()] = len(aggCalls)
-				aggCalls = append(aggCalls, c)
-			}
-		}
-	}
-	for _, it := range p.Items {
-		collect(it.Expr)
-	}
-	if p.Having != nil {
-		collect(p.Having)
-	}
-	for _, o := range p.OrderBy {
-		collect(o.Expr)
-	}
-
-	groups := make(map[string]*group)
-	var order []string // insertion order for determinism
-	for _, r := range rows {
-		key, err := groupKey(p.GroupBy, r)
-		if err != nil {
-			return nil, err
-		}
-		g, ok := groups[key]
-		if !ok {
-			g = &group{firstRow: r}
-			g.accs = make([]accumulator, len(aggCalls))
-			for i, c := range aggCalls {
-				acc, err := newAccumulator(c)
-				if err != nil {
-					return nil, err
-				}
-				g.accs[i] = acc
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		for _, acc := range g.accs {
-			if err := acc.add(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Global aggregates over an empty input still produce one row
-	// (COUNT(*) = 0 etc.), but only when there is no GROUP BY.
-	if len(rows) == 0 && len(p.GroupBy) == 0 {
-		g := &group{firstRow: make(types.Row, p.Read.Len())}
-		g.accs = make([]accumulator, len(aggCalls))
-		for i, c := range aggCalls {
-			acc, err := newAccumulator(c)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i] = acc
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-
-	orderItems := p.OrderBy
-	out := make([]keyedRow, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		// substitute computed aggregate values into the expressions, then
-		// evaluate against the group's first row (non-aggregate parts of an
-		// item therefore get first-row semantics, as Table I queries expect).
-		subst := func(e expr.Expr) expr.Expr {
-			return expr.Transform(e, func(n expr.Expr) (expr.Expr, bool) {
-				if c, ok := n.(*expr.Call); ok && expr.IsAggregate(c.Name) {
-					if i, ok := seen[c.String()]; ok {
-						return &expr.Literal{Val: g.accs[i].value()}, true
-					}
-				}
-				return nil, false
-			})
-		}
-		if p.Having != nil {
-			ok, err := expr.EvalPredicate(subst(p.Having), g.firstRow)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		outRow := make(types.Row, len(p.Items))
-		for i, it := range p.Items {
-			v, err := subst(it.Expr).Eval(g.firstRow)
-			if err != nil {
-				return nil, err
-			}
-			outRow[i] = v
-		}
-		var keys []types.Value
-		if len(orderItems) > 0 {
-			keys = make([]types.Value, len(orderItems))
-			for i, o := range orderItems {
-				v, err := subst(o.Expr).Eval(g.firstRow)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
-		}
-		out = append(out, keyedRow{row: outRow, keys: keys})
-	}
-	return out, nil
-}
-
-// groupKey renders the GROUP BY values into a collision-safe string key.
-func groupKey(groupBy []expr.Expr, r types.Row) (string, error) {
-	if len(groupBy) == 0 {
-		return "", nil
-	}
-	var b strings.Builder
-	for _, g := range groupBy {
-		v, err := g.Eval(r)
-		if err != nil {
-			return "", err
-		}
-		if v.IsNull() {
-			b.WriteByte(0x01) // distinguish NULL from empty string
-		} else {
-			b.WriteByte(0x02)
-			b.WriteString(v.AsString())
-		}
-		b.WriteByte(0x00)
-	}
-	return b.String(), nil
-}
-
-func distinct(rows []keyedRow) []keyedRow {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, kr := range rows {
-		var b strings.Builder
-		for _, v := range kr.row {
-			if v.IsNull() {
-				b.WriteByte(0x01)
-			} else {
-				b.WriteByte(0x02)
-				b.WriteString(v.AsString())
-			}
-			b.WriteByte(0x00)
-		}
-		key := b.String()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, kr)
-		}
-	}
-	return out
 }
 
 func sortRows(rows []keyedRow, orderBy []parser.OrderItem) {

@@ -32,9 +32,19 @@ var sample = []types.Row{
 	row("V3", "2015-01-01 00:10:00", 1, "Kyiv", "UKR"),
 }
 
-// run analyzes q against the full schema with pushdown disabled (exec gets
-// raw rows, so the residual must do all filtering).
+// run executes q over rows as analyze plans it (exec gets raw rows, so the
+// residual must do all filtering).
 func run(t *testing.T, q string, rows []types.Row) *Result {
+	t.Helper()
+	res, err := Execute(analyze(t, q), NewSliceIterator(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// analyze plans q against the full schema with pushdown disabled.
+func analyze(t *testing.T, q string) *plan.Plan {
 	t.Helper()
 	sel, err := parser.Parse(q)
 	if err != nil {
@@ -47,11 +57,7 @@ func run(t *testing.T, q string, rows []types.Row) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(p, NewSliceIterator(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return p
 }
 
 func TestSimpleProjection(t *testing.T) {
