@@ -81,20 +81,21 @@ func (st *TableStats) PredicateSelectivity(preds []pushdown.Predicate) (float64,
 	if len(preds) == 0 {
 		return 0, nil
 	}
-	idx := make([]int, len(preds))
+	bound := make([]pushdown.Bound, len(preds))
 	for i, p := range preds {
 		j := st.schema.Index(p.Column)
 		if j < 0 {
 			return 0, fmt.Errorf("adaptive: predicate column %q not in schema", p.Column)
 		}
-		idx[i] = j
+		bound[i] = pushdown.Bind(p, j)
 	}
 	kept := 0
 	for r := 0; r < st.rows; r++ {
 		ok := true
-		for i, p := range preds {
-			v := st.sample[idx[i]][r]
-			if !p.Matches(v, v == "") {
+		for i := range bound {
+			p := &bound[i]
+			v := st.sample[p.Field][r]
+			if !p.Match([]byte(v), v == "") {
 				ok = false
 				break
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"scoop/internal/compute"
@@ -25,7 +26,7 @@ import (
 func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilter.Spec, preds []pushdown.Predicate, opts QueryOptions) (*Result, error) {
 	start := time.Now()
 	s.mu.RLock()
-	def, ok := s.tables[tableKey(table)]
+	def, ok := s.tables[strings.ToLower(table)]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown table %q", table)
@@ -55,7 +56,7 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 		},
 	}
 	if len(groupCols) > 0 {
-		task.Options[aggfilter.OptGroup] = joinComma(groupCols)
+		task.Options[aggfilter.OptGroup] = strings.Join(groupCols, ",")
 	}
 	if def.opts.Header {
 		task.Options[aggfilter.OptHeader] = "true"
@@ -113,33 +114,11 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 	}, nil
 }
 
-func tableKey(name string) string {
-	// Table keys are stored lowercased.
-	b := []byte(name)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c - 'A' + 'a'
-		}
-	}
-	return string(b)
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
-}
-
 // readPartials parses the filter's CSV partial records.
 func readPartials(r io.Reader) ([][]string, error) {
 	rr := csvio.NewRangeReader(r, 0, int64(1)<<62)
 	var out [][]string
-	var fields [][]byte
+	var sc csvio.FieldScanner
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
@@ -148,7 +127,7 @@ func readPartials(r io.Reader) ([][]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		fields = csvio.Fields(rec, csvio.DefaultDelimiter, fields)
+		fields := sc.Scan(rec, csvio.DefaultDelimiter)
 		row := make([]string, len(fields))
 		for i, f := range fields {
 			row[i] = string(f)

@@ -463,6 +463,22 @@ func TestAggregateQueryGlobal(t *testing.T) {
 	}
 }
 
+// TestAggregateQueryNonASCIITableName pins that AggregateQuery resolves
+// table names the way RegisterTable stores them, including non-ASCII case.
+func TestAggregateQueryNonASCIITableName(t *testing.T) {
+	s, _ := newScoop(t)
+	if err := s.RegisterTable("ÄMTER", "meters", "", meter.SchemaDecl, datasource.CSVOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.AggregateQuery("ÄMTER", nil, []aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}}, nil, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].I == 0 {
+		t.Errorf("rows = %v, want one non-zero count", res.Rows)
+	}
+}
+
 func TestAggregateQueryErrors(t *testing.T) {
 	s, _ := newScoop(t)
 	if _, err := s.AggregateQuery("ghost", nil, []aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}}, nil, QueryOptions{}); err == nil {

@@ -201,61 +201,12 @@ func (r *RangeReader) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// Fields splits a record into fields. Quoted fields ("a,b" style, with ""
-// escaping) are supported; the fast path for unquoted records makes no
-// copies. dst is reused when non-nil.
-func Fields(record []byte, delim byte, dst [][]byte) [][]byte {
-	dst = dst[:0]
-	if bytes.IndexByte(record, '"') < 0 {
-		// Fast path: plain split.
-		for {
-			i := bytes.IndexByte(record, delim)
-			if i < 0 {
-				return append(dst, record)
-			}
-			dst = append(dst, record[:i])
-			record = record[i+1:]
-		}
-	}
-	// Quoted path.
-	for len(record) >= 0 {
-		if len(record) > 0 && record[0] == '"' {
-			var field []byte
-			i := 1
-			for i < len(record) {
-				if record[i] == '"' {
-					if i+1 < len(record) && record[i+1] == '"' {
-						field = append(field, '"')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				field = append(field, record[i])
-				i++
-			}
-			dst = append(dst, field)
-			if i < len(record) && record[i] == delim {
-				record = record[i+1:]
-				continue
-			}
-			return dst
-		}
-		i := bytes.IndexByte(record, delim)
-		if i < 0 {
-			return append(dst, record)
-		}
-		dst = append(dst, record[:i])
-		record = record[i+1:]
-	}
-	return dst
-}
-
-// FieldScanner splits records into fields with zero steady-state
+// FieldScanner is the system's one CSV field splitter: the storage-side
+// filters and the compute-side readers all split records with Scan, so a
+// record has the same fields on both sides of the wire. Quoted fields ("a,b"
+// style, with "" escaping) are supported. Steady state makes zero
 // allocations: the field-slice header and the unquoting scratch buffer are
-// owned by the scanner and reused across records. Semantics are identical to
-// Fields (the equivalence tests assert it byte for byte).
+// owned by the scanner and reused across records.
 type FieldScanner struct {
 	fields  [][]byte
 	scratch []byte
@@ -400,7 +351,8 @@ func ReadHeader(r io.Reader) ([]string, int64, error) {
 	if len(line) == 0 {
 		return nil, 0, fmt.Errorf("csvio: empty header")
 	}
-	fields := Fields(line, DefaultDelimiter, nil)
+	var sc FieldScanner
+	fields := sc.Scan(line, DefaultDelimiter)
 	out := make([]string, len(fields))
 	for i, f := range fields {
 		out[i] = string(f)

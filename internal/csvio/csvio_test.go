@@ -141,34 +141,36 @@ func TestRangePartitioningExactlyOnce(t *testing.T) {
 }
 
 func TestFieldsFastPath(t *testing.T) {
-	got := Fields([]byte("a,b,,c"), ',', nil)
+	var sc FieldScanner
+	got := sc.Scan([]byte("a,b,,c"), ',')
 	if len(got) != 4 || string(got[0]) != "a" || string(got[2]) != "" || string(got[3]) != "c" {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(""), ',', nil)
+	got = sc.Scan([]byte(""), ',')
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("empty record: %q", got)
 	}
-	got = Fields([]byte("single"), ',', got) // reuse dst
+	got = sc.Scan([]byte("single"), ',') // reuse the scanner
 	if len(got) != 1 || string(got[0]) != "single" {
 		t.Errorf("single: %q", got)
 	}
 }
 
 func TestFieldsQuoted(t *testing.T) {
-	got := Fields([]byte(`a,"b,c",d`), ',', nil)
+	var sc FieldScanner
+	got := sc.Scan([]byte(`a,"b,c",d`), ',')
 	if len(got) != 3 || string(got[1]) != "b,c" {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(`"he said ""hi""",x`), ',', nil)
+	got = sc.Scan([]byte(`"he said ""hi""",x`), ',')
 	if len(got) != 2 || string(got[0]) != `he said "hi"` {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(`"unterminated`), ',', nil)
+	got = sc.Scan([]byte(`"unterminated`), ',')
 	if len(got) != 1 || string(got[0]) != "unterminated" {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(`"a",`), ',', nil)
+	got = sc.Scan([]byte(`"a",`), ',')
 	if len(got) != 2 || string(got[1]) != "" {
 		t.Errorf("got %q", got)
 	}
@@ -191,7 +193,8 @@ func TestWriteRecordRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		line := bytes.TrimRight(buf.Bytes(), "\n")
-		got := Fields(line, ',', nil)
+		var sc FieldScanner
+		got := sc.Scan(line, ',')
 		if len(got) != len(fields) {
 			t.Fatalf("%v: got %q", fields, got)
 		}
@@ -212,7 +215,8 @@ func TestWriteRecordProperty(t *testing.T) {
 			return false
 		}
 		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
-		got := Fields(line, ',', nil)
+		var sc FieldScanner
+		got := sc.Scan(line, ',')
 		return len(got) == 2 && string(got[0]) == a && string(got[1]) == b
 	}
 	cfg := &quick.Config{MaxCount: 200}

@@ -52,8 +52,9 @@ func assertFields(t *testing.T, label string, got [][]byte, want []string) {
 func TestFieldsGolden(t *testing.T) {
 	for _, tc := range goldenRecords {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Fields([]byte(tc.record), DefaultDelimiter, nil)
-			assertFields(t, "Fields", got, tc.fields)
+			var sc FieldScanner
+			got := sc.Scan([]byte(tc.record), DefaultDelimiter)
+			assertFields(t, "Scan", got, tc.fields)
 		})
 	}
 }

@@ -219,14 +219,9 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 			rc.Close()
 			return nil, fmt.Errorf("datasource: unknown predicate column %q", p.Column)
 		}
-		it.preds = append(it.preds, boundPred{idx: idx, pred: p})
+		it.preds = append(it.preds, pushdown.Bind(p, idx))
 	}
 	return it, nil
-}
-
-type boundPred struct {
-	idx  int
-	pred pushdown.Predicate
 }
 
 // csvIterator parses a CSV stream into typed rows.
@@ -239,8 +234,8 @@ type csvIterator struct {
 	// projIdx maps output column -> raw field index; nil means identity
 	// (raw fields are already in output order, as in pushdown mode).
 	projIdx []int
-	preds   []boundPred
-	fields  [][]byte
+	preds   []pushdown.Bound
+	sc      csvio.FieldScanner
 	closed  bool
 }
 
@@ -258,8 +253,10 @@ func (it *csvIterator) Next() (types.Row, error) {
 			it.skipHeader = false
 			continue
 		}
-		it.fields = csvio.Fields(rec, it.delim, it.fields)
-		if !it.match() {
+		// Scan's quoted fields live until the next Scan; Coerce copies
+		// each field out before the loop reads another record.
+		fields := it.sc.Scan(rec, it.delim)
+		if !pushdown.MatchFields(it.preds, fields) {
 			continue
 		}
 		row := make(types.Row, it.schema.Len())
@@ -268,28 +265,14 @@ func (it *csvIterator) Next() (types.Row, error) {
 			if it.projIdx != nil {
 				idx = it.projIdx[i]
 			}
-			if idx < len(it.fields) {
-				row[i] = types.Coerce(string(it.fields[idx]), it.schema.Columns[i].Type)
+			if idx < len(fields) {
+				row[i] = types.Coerce(string(fields[idx]), it.schema.Columns[i].Type)
 			} else {
 				row[i] = types.NullValue()
 			}
 		}
 		return row, nil
 	}
-}
-
-func (it *csvIterator) match() bool {
-	for _, bp := range it.preds {
-		var raw string
-		null := bp.idx >= len(it.fields)
-		if !null {
-			raw = string(it.fields[bp.idx])
-		}
-		if !bp.pred.Matches(raw, null) {
-			return false
-		}
-	}
-	return true
 }
 
 // Close implements exec.Iterator.

@@ -107,12 +107,16 @@ func (r *JSONRelation) ScanPrunedFiltered(ctx context.Context, split connector.S
 	if err != nil {
 		return nil, err
 	}
+	bound := make([]pushdown.Bound, len(preds))
+	for i, p := range preds {
+		bound[i] = pushdown.Bind(p, -1)
+	}
 	return &jsonIterator{
 		rc:          rc,
 		rr:          csvio.NewRangeReader(rc, split.Start, split.End),
 		schema:      outSchema,
 		columns:     columns,
-		preds:       preds,
+		preds:       bound,
 		skipInvalid: r.opts.SkipInvalid,
 	}, nil
 }
@@ -123,7 +127,7 @@ type jsonIterator struct {
 	rr          *csvio.RangeReader
 	schema      *types.Schema
 	columns     []string
-	preds       []pushdown.Predicate
+	preds       []pushdown.Bound
 	skipInvalid bool
 	closed      bool
 }
@@ -212,15 +216,16 @@ func renderJSON(v any) string {
 	}
 }
 
-func docMatches(preds []pushdown.Predicate, doc map[string]any) bool {
-	for _, p := range preds {
+func docMatches(preds []pushdown.Bound, doc map[string]any) bool {
+	for i := range preds {
+		p := &preds[i]
 		v, ok := docLookup(doc, p.Column)
 		null := !ok || v == nil
 		raw := ""
 		if !null {
 			raw = renderJSON(v)
 		}
-		if !p.Matches(raw, null) {
+		if !p.Match([]byte(raw), null) {
 			return false
 		}
 	}

@@ -136,13 +136,16 @@ func (r *ParquetRelation) ScanPrunedFiltered(ctx context.Context, split connecto
 	for i, c := range need {
 		colIdx[c] = i
 	}
-	return &filteredIterator{it: it, preds: preds, colIdx: colIdx, outWidth: outW}, nil
+	bound := make([]pushdown.Bound, len(preds))
+	for i, p := range preds {
+		bound[i] = pushdown.Bind(p, colIdx[p.Column])
+	}
+	return &filteredIterator{it: it, preds: bound, outWidth: outW}, nil
 }
 
 type filteredIterator struct {
 	it       exec.Iterator
-	preds    []pushdown.Predicate
-	colIdx   map[string]int
+	preds    []pushdown.Bound
 	outWidth int
 }
 
@@ -154,10 +157,10 @@ func (f *filteredIterator) Next() (types.Row, error) {
 			return nil, err
 		}
 		ok := true
-		for _, p := range f.preds {
-			idx := f.colIdx[p.Column]
-			v := row[idx]
-			if !p.Matches(v.AsString(), v.IsNull()) {
+		for i := range f.preds {
+			p := &f.preds[i]
+			v := row[p.Field]
+			if !p.Match([]byte(v.AsString()), v.IsNull()) {
 				ok = false
 				break
 			}

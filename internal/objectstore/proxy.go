@@ -403,7 +403,7 @@ func (p *Proxy) cachedGet(ctx context.Context, account, container, object string
 // getUncached is the uncached GET path: replica fetch with failover,
 // object-stage pushdown at the node, proxy-stage pushdown here.
 func (p *Proxy) getUncached(ctx context.Context, account, container, object string, opts GetOptions) (io.ReadCloser, ObjectInfo, error) {
-	objectStage, proxyStage := splitByStage(opts.Pushdown)
+	objectStage, proxyStage := pushdown.SplitByStage(opts.Pushdown)
 
 	path := "/" + account + "/" + container + "/" + object
 	nodes, err := p.readNodes(path)
@@ -517,13 +517,6 @@ func (p *Proxy) fetchReplica(ctx context.Context, nodes []*Node, path string, st
 		return pk, info, i, nil
 	}
 	return nil, ObjectInfo{}, 0, lastErr
-}
-
-// splitByStage partitions a chain by execution tier, preserving order within
-// each tier. The shared rule lives in the pushdown package so the connector's
-// compute-side fallback replays the exact same execution order.
-func splitByStage(tasks []*pushdown.Task) (objectStage, proxyStage []*pushdown.Task) {
-	return pushdown.SplitByStage(tasks)
 }
 
 // HeadObject implements Client.

@@ -19,8 +19,8 @@ var equivValues = []string{
 	`say "hi"`, "a,b", "\x00", "héllo",
 }
 
-// TestMatchesBytesEquivalence checks the byte-slice predicate path against
-// the string path for every operator over the cross product of raw values,
+// TestMatchesBytesEquivalence checks the bound byte-slice kernel against
+// the string oracle for every operator over the cross product of raw values,
 // literals, numeric flags, and null flags.
 func TestMatchesBytesEquivalence(t *testing.T) {
 	for _, op := range equivOps {
@@ -33,9 +33,10 @@ func TestMatchesBytesEquivalence(t *testing.T) {
 							p.Values = []string{lit, "10", "zz"}
 						}
 						want := p.Matches(raw, null)
-						got := p.MatchesBytes([]byte(raw), null)
+						b := Bind(p, 0)
+						got := b.Match([]byte(raw), null)
 						if got != want {
-							t.Fatalf("%s raw=%q lit=%q numeric=%v null=%v: MatchesBytes=%v, Matches=%v",
+							t.Fatalf("%s raw=%q lit=%q numeric=%v null=%v: Match=%v, Matches=%v",
 								op, raw, lit, numeric, null, got, want)
 						}
 					}
@@ -58,16 +59,18 @@ func FuzzMatchesBytesEquivalence(f *testing.F) {
 			p.Values = []string{lit}
 		}
 		want := p.Matches(string(raw), null)
-		got := p.MatchesBytes(raw, null)
+		b := Bind(p, 0)
+		got := b.Match(raw, null)
 		if got != want {
-			t.Fatalf("%s raw=%q lit=%q numeric=%v null=%v: MatchesBytes=%v, Matches=%v",
+			t.Fatalf("%s raw=%q lit=%q numeric=%v null=%v: Match=%v, Matches=%v",
 				op, raw, lit, numeric, null, got, want)
 		}
 	})
 }
 
 // TestParseFloatBytesEquivalence pins parseFloatBytes (and its fastFloat fast
-// path) to parseFloat: same ok flag, bit-identical value.
+// path), and the literal parse in Bind, to parseFloat: same ok flag,
+// bit-identical value.
 func TestParseFloatBytesEquivalence(t *testing.T) {
 	cases := append([]string{}, equivValues...)
 	// Dense sweep of plain decimals around the fast path's mantissa and
@@ -90,6 +93,14 @@ func TestParseFloatBytesEquivalence(t *testing.T) {
 		if wantOK && math.Float64bits(gotV) != math.Float64bits(wantV) {
 			t.Fatalf("parseFloatBytes(%q) = %v (%x), parseFloat = %v (%x)",
 				s, gotV, math.Float64bits(gotV), wantV, math.Float64bits(wantV))
+		}
+		lit := Bind(Predicate{Column: "c", Op: OpEq, Value: s, Numeric: true}, 0).lits[0]
+		if lit.isNum != wantOK {
+			t.Fatalf("Bind(%q) isNum=%v, parseFloat ok=%v", s, lit.isNum, wantOK)
+		}
+		if wantOK && math.Float64bits(lit.num) != math.Float64bits(wantV) {
+			t.Fatalf("Bind(%q) = %v (%x), parseFloat = %v (%x)",
+				s, lit.num, math.Float64bits(lit.num), wantV, math.Float64bits(wantV))
 		}
 	}
 }

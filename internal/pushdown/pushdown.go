@@ -191,99 +191,76 @@ func (t *Task) Validate() error {
 	return nil
 }
 
-// Matches evaluates the predicate against a single value. The caller resolves
-// the column to the value; NULL is represented by ok=false from the resolver.
-// It implements SQL semantics: comparisons against NULL are not satisfied
-// (except IS NULL).
-func (p Predicate) Matches(raw string, null bool) bool {
-	switch p.Op {
-	case OpIsNull:
-		return null || raw == ""
-	case OpNotNull:
-		return !null && raw != ""
-	}
-	if null {
-		return false
-	}
-	if p.Op == OpIn {
-		for _, v := range p.Values {
-			if matchOne(OpEq, raw, v, p.Numeric) {
-				return true
-			}
-		}
-		return false
-	}
-	return matchOne(p.Op, raw, p.Value, p.Numeric)
+// Bound is a Predicate prepared for evaluation: its numeric literals are
+// parsed once, at bind time, and Field names the record field it reads.
+// Every pushed selection is evaluated through Bound.Match — inside the store
+// by the storlets and at the compute side by the data sources — so a
+// predicate has one meaning on both sides of the wire. A Bound must come
+// from Bind.
+type Bound struct {
+	Predicate
+	// Field is the index of the record field MatchFields evaluates the
+	// predicate on. Callers that resolve values by name (JSON documents)
+	// pass -1 and call Match directly.
+	Field int
+	// lits holds the comparison operands: Value, or the IN list.
+	lits []literal
 }
 
-func matchOne(op Op, raw, lit string, numeric bool) bool {
-	if op == OpLike {
-		return likeMatch(raw, lit)
-	}
-	var cmp int
-	if numeric {
-		a, aok := parseFloat(raw)
-		b, bok := parseFloat(lit)
-		if !aok || !bok {
-			return false // non-numeric field never satisfies a numeric predicate
-		}
-		switch {
-		case a < b:
-			cmp = -1
-		case a > b:
-			cmp = 1
-		}
-	} else {
-		cmp = strings.Compare(raw, lit)
-	}
-	switch op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
+// literal is one comparison operand with its numeric value parsed once.
+type literal struct {
+	text string
+	num  float64
+	// isNum reports whether text parses as a number. A numeric predicate
+	// whose literal does not is never satisfied.
+	isNum bool
 }
 
-// parseFloat parses a numeric operand with SQL coercion semantics (leading/
-// trailing space ignored, non-numeric text is NULL), matching what
-// types.Coerce(s, types.Float) used to produce here — without pulling the SQL
-// engine's Value box into the predicate hot path. fastFloatString handles the
-// plain-decimal shapes that dominate both CSV fields and predicate literals
-// allocation-free; only exotic syntax (exponents, hex floats, inf/NaN,
-// >19-digit mantissas) falls back to strconv.
-func parseFloat(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	if len(s) == 0 {
-		return 0, false
+// Bind prepares p for evaluation against record field field. Numeric
+// literals are parsed with SQL coercion semantics: surrounding space is
+// ignored and non-numeric text is NULL.
+func Bind(p Predicate, field int) Bound {
+	vals := p.Values
+	if p.Op != OpIn {
+		vals = []string{p.Value}
 	}
-	if f, ok := fastFloatString(s); ok {
-		return f, true
+	b := Bound{Predicate: p, Field: field, lits: make([]literal, len(vals))}
+	for i, v := range vals {
+		b.lits[i].text = v
+		if p.Numeric {
+			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			b.lits[i].num, b.lits[i].isNum = f, err == nil
+		}
 	}
-	//lint:ignore allocfree strconv.ParseFloat only allocates on its error path (*strconv.NumError), reached once per non-numeric exotic literal, not per plain-decimal record — fastFloatString above absorbs those
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
+	return b
 }
 
-// MatchesBytes is Matches for a raw byte-slice field value. It exists so the
-// storage-side filters can evaluate predicates per record without converting
-// fields to strings (the old per-record allocation on the pushdown hot
-// path); semantics are identical to Matches and checked by equivalence tests.
+// MatchFields reports whether a record's fields satisfy every predicate of
+// the conjunction. A Field past the end of the record reads as NULL.
+func MatchFields(bound []Bound, fields [][]byte) bool {
+	for i := range bound {
+		b := &bound[i]
+		var raw []byte
+		null := b.Field >= len(fields)
+		if !null {
+			raw = fields[b.Field]
+		}
+		if !b.Match(raw, null) {
+			return false
+		}
+	}
+	return true
+}
+
+// Match evaluates the predicate against one raw field value with SQL
+// semantics: comparisons against NULL are not satisfied (except IS NULL),
+// and an empty field counts as NULL for IS [NOT] NULL. Numeric predicates
+// compare as float64 and are never satisfied by a field that is not a
+// number; the others compare bytes.
 //
 //scoop:hotpath
-func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
-	switch p.Op {
+func (b *Bound) Match(raw []byte, null bool) bool {
+	switch b.Op {
 	case OpIsNull:
 		return null || len(raw) == 0
 	case OpNotNull:
@@ -292,38 +269,22 @@ func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
 	if null {
 		return false
 	}
-	if p.Op == OpIn {
-		for _, v := range p.Values {
-			if matchOneBytes(OpEq, raw, v, p.Numeric) {
+	switch b.Op {
+	case OpLike:
+		return LikeMatch(raw, b.Value)
+	case OpIn:
+		for i := range b.lits {
+			if cmp, ok := b.compare(raw, &b.lits[i]); ok && cmp == 0 {
 				return true
 			}
 		}
 		return false
 	}
-	return matchOneBytes(p.Op, raw, p.Value, p.Numeric)
-}
-
-func matchOneBytes(op Op, raw []byte, lit string, numeric bool) bool {
-	if op == OpLike {
-		return likeMatchBytes(raw, lit)
+	cmp, ok := b.compare(raw, &b.lits[0])
+	if !ok {
+		return false
 	}
-	var cmp int
-	if numeric {
-		a, aok := parseFloatBytes(raw)
-		b, bok := parseFloat(lit)
-		if !aok || !bok {
-			return false // non-numeric field never satisfies a numeric predicate
-		}
-		switch {
-		case a < b:
-			cmp = -1
-		case a > b:
-			cmp = 1
-		}
-	} else {
-		cmp = compareBytesString(raw, lit)
-	}
-	switch op {
+	switch b.Op {
 	case OpEq:
 		return cmp == 0
 	case OpNe:
@@ -338,6 +299,28 @@ func matchOneBytes(op Op, raw []byte, lit string, numeric bool) bool {
 		return cmp >= 0
 	}
 	return false
+}
+
+// compare orders raw against lit; ok is false when a numeric comparison
+// has a non-numeric side.
+func (b *Bound) compare(raw []byte, lit *literal) (cmp int, ok bool) {
+	if !b.Numeric {
+		return compareBytesString(raw, lit.text), true
+	}
+	if !lit.isNum {
+		return 0, false
+	}
+	a, ok := parseFloatBytes(raw)
+	if !ok {
+		return 0, false
+	}
+	switch {
+	case a < lit.num:
+		return -1, true
+	case a > lit.num:
+		return 1, true
+	}
+	return 0, true
 }
 
 // compareBytesString is bytes.Compare with a string on the right, avoiding a
@@ -365,7 +348,8 @@ func compareBytesString(b []byte, s string) int {
 // plain-decimal shapes that dominate CSV numerics. The fallback conversion
 // allocates (strconv.ParseFloat retains its argument in errors), but only
 // for exotic syntax — exponents, hex floats, inf/NaN, >19-digit mantissas.
-// Null/ok semantics match parseFloat exactly.
+// The ok flag and value match strconv.ParseFloat over the trimmed field —
+// the parse Bind applies to literals — so both sides of a comparison agree.
 func parseFloatBytes(b []byte) (float64, bool) {
 	b = bytes.TrimSpace(b)
 	if len(b) == 0 {
@@ -435,85 +419,12 @@ func fastFloat(b []byte) (float64, bool) {
 	return f, true
 }
 
-// fastFloatString is fastFloat over a string, duplicated rather than
-// converted (like likeMatch/likeMatchBytes) so neither side of the predicate
-// evaluator pays a conversion allocation. Keep the two in lockstep — the
-// bit-identity tests cover both through parseFloat/parseFloatBytes.
-func fastFloatString(s string) (float64, bool) {
-	if len(s) == 0 {
-		return 0, false
-	}
-	i, neg := 0, false
-	if s[0] == '+' || s[0] == '-' {
-		neg = s[0] == '-'
-		i++
-	}
-	var mant uint64
-	frac, sawDot, sawDigit := 0, false, false
-	for ; i < len(s); i++ {
-		c := s[i]
-		if c == '.' {
-			if sawDot {
-				return 0, false
-			}
-			sawDot = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		sawDigit = true
-		if mant >= 1<<53/10+1 {
-			return 0, false // mantissa may leave the exact-representation range
-		}
-		mant = mant*10 + uint64(c-'0')
-		if sawDot {
-			frac++
-		}
-	}
-	if !sawDigit || mant >= 1<<53 || frac >= len(pow10) {
-		return 0, false
-	}
-	f := float64(mant) / pow10[frac]
-	if neg {
-		f = -f
-	}
-	return f, true
-}
-
-// likeMatch duplicates expr.LikeMatch so the storage-side filter code does
-// not depend on the SQL engine (the paper's CSVStorlet is a standalone
-// artifact deployed into the store).
-func likeMatch(s, p string) bool {
-	var si, pi int
-	star, sBack := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star = pi
-			sBack = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			sBack++
-			si = sBack
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
-}
-
-// likeMatchBytes is likeMatch with a byte-slice subject, avoiding the
-// per-record string conversion on the filter hot path. The algorithm is
-// byte-indexed, so the two implementations are line-for-line identical.
-func likeMatchBytes(s []byte, p string) bool {
+// LikeMatch implements SQL LIKE: '%' matches any run (including empty),
+// '_' matches exactly one byte. Matching is case-sensitive, as in Spark SQL.
+// It is the system's one LIKE: the storage-side filters reach it through
+// Bound.Match and the SQL engine through expr.LikeMatch. The subject is a
+// byte slice so filters match raw fields without a string conversion.
+func LikeMatch(s []byte, p string) bool {
 	var si, pi int
 	star, sBack := -1, 0
 	for si < len(s) {

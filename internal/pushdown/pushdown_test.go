@@ -134,8 +134,9 @@ func TestPredicateMatchesString(t *testing.T) {
 		{Predicate{Column: "c", Op: OpIn, Values: []string{"FRA", "NED"}}, "UKR", false, false},
 	}
 	for _, c := range cases {
-		if got := c.p.Matches(c.raw, c.null); got != c.want {
-			t.Errorf("%v.Matches(%q, %v) = %v, want %v", c.p, c.raw, c.null, got, c.want)
+		b := Bind(c.p, 0)
+		if got := b.Match([]byte(c.raw), c.null); got != c.want {
+			t.Errorf("%v.Match(%q, %v) = %v, want %v", c.p, c.raw, c.null, got, c.want)
 		}
 	}
 }
@@ -154,8 +155,9 @@ func TestPredicateMatchesNumeric(t *testing.T) {
 		{Predicate{Column: "c", Op: OpIn, Values: []string{"1.0", "2.0"}, Numeric: true}, "2", true},
 	}
 	for _, c := range cases {
-		if got := c.p.Matches(c.raw, false); got != c.want {
-			t.Errorf("%v.Matches(%q) = %v, want %v", c.p, c.raw, got, c.want)
+		b := Bind(c.p, 0)
+		if got := b.Match([]byte(c.raw), false); got != c.want {
+			t.Errorf("%v.Match(%q) = %v, want %v", c.p, c.raw, got, c.want)
 		}
 	}
 }
@@ -198,12 +200,12 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
-// Property: the duplicated likeMatch agrees with a reference implementation
-// on wildcard-free patterns (exact equality).
+// Property: LikeMatch agrees with a reference implementation on
+// wildcard-free patterns (exact equality).
 func TestLikeMatchExactProperty(t *testing.T) {
 	f := func(s string) bool {
 		clean := strings.NewReplacer("%", "x", "_", "y").Replace(s)
-		return likeMatch(clean, clean)
+		return LikeMatch([]byte(clean), clean)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -343,15 +343,14 @@ func aggCalls(p *plan.Plan) ([]*expr.Call, map[string]int) {
 	return calls, index
 }
 
-// appendKey appends v's collision-safe key form to b: NULL and the empty
-// string differ, and every value is terminated.
+// appendKey appends v's collision-safe key form to b: a tag byte keeps NULL
+// apart from the empty string, and types.AppendKey makes the value's bytes
+// an injective key component.
 func appendKey(b []byte, v types.Value) []byte {
 	if v.IsNull() {
-		return append(b, 0x01, 0x00)
+		return types.AppendKey(append(b, 0x01), nil)
 	}
-	b = append(b, 0x02)
-	b = append(b, v.AsString()...)
-	return append(b, 0x00)
+	return types.AppendKey(append(b, 0x02), []byte(v.AsString()))
 }
 
 func distinct(rows []keyedRow) []keyedRow {

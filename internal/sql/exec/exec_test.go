@@ -262,6 +262,22 @@ func TestGroupKeyNullVsEmpty(t *testing.T) {
 	}
 }
 
+// TestGroupKeyInjective pins that values containing the key encoding's own
+// marker bytes cannot make two group tuples collide: ("x\x00\x02y", "") and
+// ("x", "y\x00\x02") are two groups, and DISTINCT keeps both rows.
+func TestGroupKeyInjective(t *testing.T) {
+	rows := []types.Row{
+		{types.Str("x\x00\x02y"), types.Str(""), types.FloatV(1), types.Str(""), types.Str("NED")},
+		{types.Str("x"), types.Str("y\x00\x02"), types.FloatV(2), types.Str(""), types.Str("NED")},
+	}
+	if res := run(t, "SELECT count(*) AS n FROM m GROUP BY vid, date", rows); len(res.Rows) != 2 {
+		t.Errorf("GROUP BY merged distinct tuples: %v", res.Rows)
+	}
+	if res := run(t, "SELECT DISTINCT vid, date FROM m", rows); len(res.Rows) != 2 {
+		t.Errorf("DISTINCT merged distinct tuples: %v", res.Rows)
+	}
+}
+
 func TestResidualEvaluationError(t *testing.T) {
 	sel, err := parser.Parse("SELECT vid FROM m WHERE NOPEFN(vid) = 1")
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"scoop/internal/pushdown"
 	"scoop/internal/sql/types"
 )
 
@@ -535,36 +536,10 @@ func (Star) String() string { return "*" }
 
 // LikeMatch implements SQL LIKE: '%' matches any run (including empty),
 // '_' matches exactly one byte. Matching is case-sensitive, as in Spark SQL.
+// It runs the pushdown filters' matcher, so a LIKE evaluated in the residual
+// plan agrees with one pushed into the store.
 func LikeMatch(s, pattern string) bool {
-	return likeMatch(s, pattern)
-}
-
-func likeMatch(s, p string) bool {
-	// Iterative matcher with backtracking on '%' (same shape as the classic
-	// wildcard-match algorithm; avoids regexp allocation on the hot path).
-	var si, pi int
-	star, sBack := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star = pi
-			sBack = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			sBack++
-			si = sBack
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
+	return pushdown.LikeMatch([]byte(s), pattern)
 }
 
 // Bind resolves all Column references in e against schema, returning an error

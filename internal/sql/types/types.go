@@ -8,6 +8,7 @@
 package types
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -367,4 +368,24 @@ func Coerce(raw string, t Type) Value {
 	default:
 		return NullValue()
 	}
+}
+
+// AppendKey appends s to b as one component of a composite grouping key.
+// The encoding is injective — a NUL byte inside s is written as 0x00 0xFF
+// and every component ends with 0x00 0x01, so no component can end early or
+// run into the next — and order-preserving: encoded keys compare bytewise in
+// the lexicographic order of their component tuples. For NUL-free values
+// that is the order of the values joined with NUL separators.
+func AppendKey(b, s []byte) []byte {
+	for {
+		i := bytes.IndexByte(s, 0)
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, 0xFF)
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, 0x00, 0x01)
 }

@@ -155,20 +155,21 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			groupIdx = append(groupIdx, idx)
 		}
 	}
-	preds := make([]boundPred, 0, len(task.Predicates))
+	preds := make([]pushdown.Bound, 0, len(task.Predicates))
 	for _, p := range task.Predicates {
 		idx := schema.Index(p.Column)
 		if idx < 0 {
 			return fmt.Errorf("aggfilter: predicate column %q not in schema", p.Column)
 		}
-		preds = append(preds, boundPred{idx: idx, pred: p})
+		preds = append(preds, pushdown.Bind(p, idx))
 	}
 
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)
 	defer rr.Release()
 	skippedHeader := task.Options[OptHeader] != "true" || ctx.RangeStart > 0
 	groups := make(map[string]*groupState)
-	var fields [][]byte
+	var sc csvio.FieldScanner
+	var key []byte
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
@@ -181,15 +182,21 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			skippedHeader = true
 			continue
 		}
-		fields = csvio.Fields(rec, csvio.DefaultDelimiter, fields)
-		if !match(preds, fields) {
+		fields := sc.Scan(rec, csvio.DefaultDelimiter)
+		if !pushdown.MatchFields(preds, fields) {
 			continue
 		}
-		key, keys := groupKey(groupIdx, fields)
-		g, ok := groups[key]
+		key = groupKey(key[:0], groupIdx, fields)
+		g, ok := groups[string(key)]
 		if !ok {
+			keys := make([]string, len(groupIdx))
+			for i, idx := range groupIdx {
+				if idx < len(fields) {
+					keys[i] = string(fields[idx])
+				}
+			}
 			g = &groupState{keys: keys, aggs: make([]partial, len(specs))}
-			groups[key] = g
+			groups[string(key)] = g
 		}
 		for i, s := range specs {
 			accumulate(&g.aggs[i], s.Func, specIdx[i], fields)
@@ -222,40 +229,17 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	return bw.Flush()
 }
 
-type boundPred struct {
-	idx  int
-	pred pushdown.Predicate
-}
-
-func match(preds []boundPred, fields [][]byte) bool {
-	for i := range preds {
-		bp := &preds[i]
-		var raw []byte
-		null := bp.idx >= len(fields)
-		if !null {
-			raw = fields[bp.idx]
-		}
-		if !bp.pred.MatchesBytes(raw, null) {
-			return false
-		}
-	}
-	return true
-}
-
-func groupKey(groupIdx []int, fields [][]byte) (string, []string) {
-	if len(groupIdx) == 0 {
-		return "", nil
-	}
-	keys := make([]string, len(groupIdx))
-	var b strings.Builder
-	for i, idx := range groupIdx {
+// groupKey appends the record's group key to b; a group column past the
+// record's end reads as the empty string.
+func groupKey(b []byte, groupIdx []int, fields [][]byte) []byte {
+	for _, idx := range groupIdx {
+		var v []byte
 		if idx < len(fields) {
-			keys[i] = string(fields[idx])
+			v = fields[idx]
 		}
-		b.WriteString(keys[i])
-		b.WriteByte(0)
+		b = types.AppendKey(b, v)
 	}
-	return b.String(), keys
+	return b
 }
 
 func accumulate(p *partial, f Func, idx int, fields [][]byte) {
@@ -332,15 +316,19 @@ func Merge(partials [][]string, groupCols int, specs []Spec) ([][]string, error)
 		vals []partial
 	}
 	groups := make(map[string]*merged)
+	var key []byte
 	for _, rec := range partials {
 		if len(rec) != groupCols+len(specs) {
 			return nil, fmt.Errorf("aggfilter: partial record width %d, want %d", len(rec), groupCols+len(specs))
 		}
-		key := strings.Join(rec[:groupCols], "\x00")
-		g, ok := groups[key]
+		key = key[:0]
+		for _, k := range rec[:groupCols] {
+			key = types.AppendKey(key, []byte(k))
+		}
+		g, ok := groups[string(key)]
 		if !ok {
 			g = &merged{keys: append([]string(nil), rec[:groupCols]...), vals: make([]partial, len(specs))}
-			groups[key] = g
+			groups[string(key)] = g
 		}
 		for i, s := range specs {
 			raw := rec[groupCols+i]

@@ -28,12 +28,13 @@ func invoke(t *testing.T, task *pushdown.Task, input string, start, end int64) [
 		t.Fatal(err)
 	}
 	var recs [][]string
+	var sc csvio.FieldScanner
 	for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 		if line == "" {
 			continue
 		}
 		var rec []string
-		for _, fld := range csvio.Fields([]byte(line), ',', nil) {
+		for _, fld := range sc.Scan([]byte(line), ',') {
 			rec = append(rec, string(fld))
 		}
 		recs = append(recs, rec)
@@ -164,6 +165,31 @@ func TestMergeErrors(t *testing.T) {
 	}
 	if _, err := Merge([][]string{{"V1", "1", "x"}}, 1, specs); err == nil {
 		t.Error("bad count partial accepted")
+	}
+}
+
+// TestGroupKeysInjective pins that distinct group tuples never share a key,
+// even when values contain the NUL byte a naive join would separate them
+// with: ("a\x00", "b") and ("a", "\x00b") are two groups, in the storlet and
+// in the driver-side Merge.
+func TestGroupKeysInjective(t *testing.T) {
+	input := "a\x00,2015-01-01,1,b,NED\n" + "a,2015-01-01,2,\x00b,NED\n"
+	recs := invoke(t, task(map[string]string{OptGroup: "vid,city", OptAggs: "count:*"}),
+		input, 0, int64(len(input)))
+	if len(recs) != 2 {
+		t.Fatalf("storlet: %d groups, want 2: %q", len(recs), recs)
+	}
+	specs, _ := ParseSpecs("count:*")
+	merged, err := Merge([][]string{{"a\x00", "b", "1"}, {"a", "\x00b", "1"}}, 2, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) != 2 {
+		t.Fatalf("Merge: %d groups, want 2: %q", len(merged), merged)
+	}
+	// Order follows the group tuples: "a" sorts before "a\x00".
+	if merged[0][0] != "a" || merged[1][0] != "a\x00" {
+		t.Errorf("Merge order = %q", merged)
 	}
 }
 

@@ -48,13 +48,8 @@ type compiled struct {
 	skipHeader bool
 	// projIdx are the field indexes to emit, in output order; nil = all.
 	projIdx []int
-	// preds pair each predicate with its resolved field index.
-	preds []boundPred
-}
-
-type boundPred struct {
-	idx  int
-	pred pushdown.Predicate
+	// preds are the predicates bound to their field indexes.
+	preds []pushdown.Bound
 }
 
 // scanPool recycles the per-invocation field scanner (field-slice header
@@ -100,7 +95,7 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 		if needFields {
 			fields = sc.Scan(rec, c.delim)
 		}
-		if !c.match(fields) {
+		if !pushdown.MatchFields(c.preds, fields) {
 			continue
 		}
 		kept++
@@ -193,24 +188,7 @@ func compile(task *pushdown.Task) (*compiled, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("csvfilter: predicate column %q not in schema", p.Column)
 		}
-		c.preds = append(c.preds, boundPred{idx: idx, pred: p})
+		c.preds = append(c.preds, pushdown.Bind(p, idx))
 	}
 	return c, nil
-}
-
-// match applies the conjunction of predicates to raw fields, comparing
-// byte slices directly — no per-record string conversion.
-func (c *compiled) match(fields [][]byte) bool {
-	for i := range c.preds {
-		bp := &c.preds[i]
-		var raw []byte
-		null := bp.idx >= len(fields)
-		if !null {
-			raw = fields[bp.idx]
-		}
-		if !bp.pred.MatchesBytes(raw, null) {
-			return false
-		}
-	}
-	return true
 }

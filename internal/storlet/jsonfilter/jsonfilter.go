@@ -54,6 +54,10 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 		return errors.New("jsonfilter: projection (Columns) is required for JSON")
 	}
 	skipInvalid := task.Options[OptSkipInvalid] == "true"
+	preds := make([]pushdown.Bound, len(task.Predicates))
+	for i, p := range task.Predicates {
+		preds[i] = pushdown.Bind(p, -1)
+	}
 
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)
 	defer rr.Release()
@@ -79,7 +83,7 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			}
 			return fmt.Errorf("jsonfilter: line %d: %w", rows, err)
 		}
-		if !matches(task.Predicates, doc) {
+		if !matches(preds, doc) {
 			continue
 		}
 		kept++
@@ -149,15 +153,16 @@ func render(v any) string {
 }
 
 // matches applies the predicate conjunction to the document.
-func matches(preds []pushdown.Predicate, doc map[string]any) bool {
-	for _, p := range preds {
+func matches(preds []pushdown.Bound, doc map[string]any) bool {
+	for i := range preds {
+		p := &preds[i]
 		v, ok := lookup(doc, p.Column)
 		null := !ok || v == nil
 		raw := ""
 		if !null {
 			raw = render(v)
 		}
-		if !p.Matches(raw, null) {
+		if !p.Match([]byte(raw), null) {
 			return false
 		}
 	}

@@ -62,7 +62,7 @@ echo "==> go test -race -short ./..."
 go test -race -short ./...
 
 echo "==> go test -run TestAllocBudget (alloc budgets, no race)"
-go test -run TestAllocBudget ./internal/csvio/ ./internal/storlet/csvfilter/
+go test -run TestAllocBudget ./internal/csvio/ ./internal/pushdown/ ./internal/storlet/csvfilter/
 
 echo "==> (cd e2ebench && go test .) (end-to-end benchmark module)"
 (cd e2ebench && go test .)
