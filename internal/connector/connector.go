@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"scoop/internal/csvio"
 	"scoop/internal/metrics"
@@ -70,10 +69,10 @@ type Connector struct {
 	// proven deterministic. Defaults to the generated detmanifest.
 	determinism func(name string) bool
 
-	bytesIngested atomic.Int64
-	requests      atomic.Int64
-	fallbacks     atomic.Int64
-	bytesFallback atomic.Int64
+	bytesIngested metrics.Counter
+	requests      metrics.Counter
+	fallbacks     metrics.Counter
+	bytesFallback metrics.Counter
 }
 
 // New creates a connector for an account. chunkSize <= 0 uses the default.
@@ -96,10 +95,31 @@ func (c *Connector) Stats() Stats {
 
 // ResetStats zeroes the counters.
 func (c *Connector) ResetStats() {
-	c.bytesIngested.Store(0)
-	c.requests.Store(0)
-	c.fallbacks.Store(0)
-	c.bytesFallback.Store(0)
+	c.bytesIngested.Reset()
+	c.requests.Reset()
+	c.fallbacks.Reset()
+	c.bytesFallback.Reset()
+}
+
+// queryCounters is one query's share of the connector's traffic.
+type queryCounters struct{ bytes, requests *metrics.Counter }
+
+type queryCountersKey struct{}
+
+// WithQueryCounters returns a context under which every Open — and every
+// compute-side fallback it degrades to — also adds its ingested bytes to
+// bytes and its GETs to requests. Stats stays connector-wide; these
+// counters see only the requests made under ctx, so concurrent queries on
+// one connector each count their own traffic.
+func WithQueryCounters(ctx context.Context, bytes, requests *metrics.Counter) context.Context {
+	return context.WithValue(ctx, queryCountersKey{}, queryCounters{bytes, requests})
+}
+
+// queryCountersOf returns ctx's query counters; both are nil (no-op sinks)
+// outside WithQueryCounters.
+func queryCountersOf(ctx context.Context) queryCounters {
+	q, _ := ctx.Value(queryCountersKey{}).(queryCounters)
+	return q
 }
 
 // Account returns the account this connector reads.
@@ -151,8 +171,10 @@ func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Tas
 		}
 		return nil, fmt.Errorf("connector: open %s: %w", split, err)
 	}
-	c.requests.Add(1)
-	stream := &counted{rc: rc, n: &c.bytesIngested}
+	q := queryCountersOf(ctx)
+	c.requests.Inc()
+	q.requests.Inc()
+	stream := metrics.CountReader(rc, &c.bytesIngested, q.bytes)
 	if len(tasks) > 0 && c.fbEngine != nil && c.chainProven(tasks) {
 		return &fallbackReader{c: c, ctx: ctx, split: split, tasks: tasks, rc: stream}, nil
 	}
@@ -163,16 +185,3 @@ func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Tas
 func (c *Connector) Upload(ctx context.Context, container, object string, r io.Reader) (objectstore.ObjectInfo, error) {
 	return c.client.PutObject(ctx, c.account, container, object, r, nil)
 }
-
-type counted struct {
-	rc io.ReadCloser
-	n  *atomic.Int64
-}
-
-func (c *counted) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-func (c *counted) Close() error { return c.rc.Close() }

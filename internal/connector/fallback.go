@@ -83,7 +83,9 @@ func (c *Connector) openFallback(ctx context.Context, split Split, tasks []*push
 	if err != nil {
 		return nil, fmt.Errorf("connector: fallback open %s: %w (degraded from: %w)", split, err, cause)
 	}
-	c.requests.Add(1)
+	q := queryCountersOf(ctx)
+	c.requests.Inc()
+	q.requests.Inc()
 	size := split.ObjectSize
 	if size <= 0 {
 		// Ranged HTTP responses report the range length, not the object
@@ -108,40 +110,21 @@ func (c *Connector) openFallback(ctx context.Context, split Split, tasks []*push
 	chain = append(chain, proxyStage...)
 	// Raw bytes count as ingested (that IS the degradation cost) and as
 	// fallback bytes (so EXPERIMENTS can split the two).
-	in := &counted{rc: &counted{rc: raw, n: &c.bytesIngested}, n: &c.bytesFallback}
+	in := metrics.CountReader(raw, &c.bytesIngested, &c.bytesFallback, q.bytes)
 	out, err := c.fbEngine.RunChain(sctx, chain, in)
 	if err != nil {
-		raw.Close()
 		return nil, fmt.Errorf("connector: fallback filter %s: %w (degraded from: %w)", split, err, cause)
 	}
 	if skip > 0 {
 		if _, err := io.CopyN(io.Discard, out, skip); err != nil {
 			out.Close()
-			raw.Close()
 			return nil, fmt.Errorf("connector: fallback resync %s at %d: %w (degraded from: %w)", split, skip, err, cause)
 		}
 	}
-	c.fallbacks.Add(1)
+	c.fallbacks.Inc()
 	c.fbMetrics.Counter("connector.pushdown.fallbacks").Inc()
-	// RunChain never closes its input; tie the raw stream's lifetime to the
-	// filtered one.
-	return &fallbackStream{out: out, raw: raw}, nil
-}
-
-// fallbackStream closes both the filter output and the raw GET under it.
-type fallbackStream struct {
-	out io.ReadCloser
-	raw io.ReadCloser
-}
-
-func (f *fallbackStream) Read(p []byte) (int, error) { return f.out.Read(p) }
-
-func (f *fallbackStream) Close() error {
-	err := f.out.Close()
-	if cerr := f.raw.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	// Closing the filtered stream also closes the raw GET under it.
+	return out, nil
 }
 
 // fallbackReader watches a pushdown stream for degradable failures. On one,

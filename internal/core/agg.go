@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"scoop/internal/compute"
+	"scoop/internal/connector"
 	"scoop/internal/csvio"
 	"scoop/internal/datasource"
+	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet/aggfilter"
@@ -70,7 +72,6 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 	if err != nil {
 		return nil, err
 	}
-	before := s.conn.Stats()
 	tasks := make([]compute.Task, len(splits))
 	for i, split := range splits {
 		split := split
@@ -83,7 +84,8 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 			return readPartials(rc)
 		}
 	}
-	results, cstats, err := s.driver.Run(opts.Context, tasks)
+	var ingested, requests metrics.Counter
+	results, cstats, err := s.driver.Run(connector.WithQueryCounters(opts.ctx(), &ingested, &requests), tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -97,15 +99,14 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 	}
 
 	outSchema, rows := aggResult(schema, groupCols, specs, merged)
-	after := s.conn.Stats()
 	return &Result{
 		Schema: outSchema,
 		Rows:   rows,
 		Metrics: Metrics{
 			Mode:          ModePushdown,
 			WallTime:      time.Since(start),
-			BytesIngested: after.BytesIngested - before.BytesIngested,
-			Requests:      after.Requests - before.Requests,
+			BytesIngested: ingested.Load(),
+			Requests:      requests.Load(),
 			Splits:        len(splits),
 			RowsScanned:   int64(len(partials)),
 			RowsReturned:  len(rows),

@@ -386,7 +386,6 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 		return nil, err
 	}
 
-	before := s.conn.Stats()
 	// Each task folds its split into a partial aggregate on the compute
 	// worker that reads it; the driver only merges the partials.
 	tasks := make([]compute.Task, len(splits))
@@ -424,7 +423,8 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 			}
 		}
 	}
-	results, cstats, err := s.driver.Run(opts.Context, tasks)
+	var ingested, requests metrics.Counter
+	results, cstats, err := s.driver.Run(connector.WithQueryCounters(qctx, &ingested, &requests), tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +438,6 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	after := s.conn.Stats()
 	return &Result{
 		Schema: res.Schema,
 		Rows:   res.Rows,
@@ -447,8 +446,8 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 			Mode:          effMode,
 			Decision:      decision,
 			WallTime:      time.Since(start),
-			BytesIngested: after.BytesIngested - before.BytesIngested,
-			Requests:      after.Requests - before.Requests,
+			BytesIngested: ingested.Load(),
+			Requests:      requests.Load(),
 			Splits:        len(splits),
 			RowsScanned:   scanned,
 			RowsReturned:  len(res.Rows),

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"scoop/internal/compute"
 	"scoop/internal/datasource"
 	"scoop/internal/meter"
+	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/parser"
@@ -572,4 +574,99 @@ func TestExternalClientConfig(t *testing.T) {
 		t.Error("no rows via external client")
 	}
 	var _ types.Row // keep types import for clarity of row assertions above
+}
+
+// overlapClient runs an armed hook inside the next GetObject it serves,
+// after the inner GET has opened and before its stream is handed back: the
+// hook's work runs start to finish while that GET is open.
+type overlapClient struct {
+	objectstore.Client
+	hook atomic.Pointer[func()]
+}
+
+func (c *overlapClient) GetObject(ctx context.Context, account, container, object string, opts objectstore.GetOptions) (io.ReadCloser, objectstore.ObjectInfo, error) {
+	rc, info, err := c.Client.GetObject(ctx, account, container, object, opts)
+	if hook := c.hook.Swap(nil); hook != nil {
+		(*hook)()
+	}
+	return rc, info, err
+}
+
+// TestOverlappingQueriesCountOwnIngest runs one query entirely inside
+// another's open GET on the same Scoop; each must report the bytes and
+// requests of its serial run, not the connector's movement meanwhile.
+func TestOverlappingQueriesCountOwnIngest(t *testing.T) {
+	base, _ := newScoop(t)
+	oc := &overlapClient{Client: base.Client()}
+	// One worker: the outer query makes no progress while the inner runs.
+	s, err := New(Config{Client: oc, Account: base.Account(), ChunkSize: 8 << 10, Compute: compute.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterTable("largeMeter", "meters", "", meter.SchemaDecl, datasource.CSVOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	query := func() (Metrics, error) {
+		res, err := s.Query("SELECT vid, sum(index) AS s FROM largeMeter WHERE state LIKE 'FRA' GROUP BY vid",
+			QueryOptions{Mode: ModePushdown})
+		if err != nil {
+			return Metrics{}, err
+		}
+		return res.Metrics, nil
+	}
+	agg := func() (Metrics, error) {
+		res, err := s.AggregateQuery("largeMeter", []string{"vid"},
+			[]aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}}, nil, QueryOptions{})
+		if err != nil {
+			return Metrics{}, err
+		}
+		return res.Metrics, nil
+	}
+	serialQuery, err := query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialAgg, err := agg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serialQuery.BytesIngested == 0 || serialAgg.BytesIngested == 0 {
+		t.Fatalf("serial runs ingested nothing: %d, %d B", serialQuery.BytesIngested, serialAgg.BytesIngested)
+	}
+	cases := []struct {
+		name                 string
+		outer, inner         func() (Metrics, error)
+		wantOuter, wantInner Metrics
+	}{
+		{"Query around AggregateQuery", query, agg, serialQuery, serialAgg},
+		{"AggregateQuery around Query", agg, query, serialAgg, serialQuery},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var inner Metrics
+			var innerErr error
+			ran := false
+			hook := func() {
+				ran = true
+				inner, innerErr = tc.inner()
+			}
+			oc.hook.Store(&hook)
+			outer, err := tc.outer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran || innerErr != nil {
+				t.Fatalf("inner query ran=%v err=%v", ran, innerErr)
+			}
+			for _, c := range []struct {
+				role      string
+				got, want Metrics
+			}{{"outer", outer, tc.wantOuter}, {"inner", inner, tc.wantInner}} {
+				if c.got.BytesIngested != c.want.BytesIngested || c.got.Requests != c.want.Requests {
+					t.Errorf("%s query: ingested %d B in %d requests, serial run %d B in %d requests",
+						c.role, c.got.BytesIngested, c.got.Requests, c.want.BytesIngested, c.want.Requests)
+				}
+			}
+		})
+	}
 }

@@ -226,18 +226,14 @@ func TestChaosCachePutLatencyInterleave(t *testing.T) {
 	}
 	task := &pushdown.Task{Filter: csvfilter.FilterName, Schema: schema, Columns: []string{"vid"}}
 	get := func(ctx context.Context) (string, string, error) {
-		rc, _, err := client.GetObject(ctx, "gp", "meters", "jan.csv",
+		rc, info, err := client.GetObject(ctx, "gp", "meters", "jan.csv",
 			objectstore.GetOptions{Pushdown: []*pushdown.Task{task}})
 		if err != nil {
 			return "", "", err
 		}
 		defer rc.Close()
 		b, err := io.ReadAll(rc)
-		status := ""
-		if cs, ok := rc.(objectstore.CacheStatuser); ok {
-			status = cs.CacheStatus()
-		}
-		return string(b), status, err
+		return string(b), info.CacheStatus, err
 	}
 
 	// Warm the cache on v1 and prove it is serving hits.

@@ -1,9 +1,11 @@
 // Package metrics holds the named atomic counters and gauges the data path
 // reports through: a Registry per deployment tier, read as a whole with
-// Snapshot.
+// Snapshot, and CountReader, the one reader that counts stream bytes into
+// counters.
 package metrics
 
 import (
+	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -40,6 +42,39 @@ func (c *Counter) Load() int64 {
 	}
 	return c.v.Load()
 }
+
+// Reset zeroes the counter (stats resets between benchmark runs).
+func (c *Counter) Reset() {
+	if c != nil {
+		c.v.Store(0)
+	}
+}
+
+// CountReader wraps rc so every Read adds the bytes it returns to each
+// counter as the Read returns. The counts are current while the stream is
+// open and final once the reader stops reading; nothing waits for Close,
+// and Close only closes rc. Nil counters are skipped, so a tier whose
+// accounting is off passes nil.
+func CountReader(rc io.ReadCloser, counters ...*Counter) io.ReadCloser {
+	return &countingReader{rc: rc, to: counters}
+}
+
+type countingReader struct {
+	rc io.ReadCloser
+	to []*Counter
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n, err := r.rc.Read(p)
+	if n > 0 {
+		for _, c := range r.to {
+			c.Add(int64(n))
+		}
+	}
+	return n, err
+}
+
+func (r *countingReader) Close() error { return r.rc.Close() }
 
 // Registry is a get-or-create set of named counters shared across a
 // deployment tier (one per Cluster, one per HTTP client). A nil *Registry

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"io"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,6 +29,7 @@ func TestNilRegistryAndCounterAreNoOps(t *testing.T) {
 	c := r.Counter("anything")
 	c.Inc() // must not panic
 	c.Add(3)
+	c.Reset()
 	if c.Load() != 0 {
 		t.Error("nil counter should read zero")
 	}
@@ -50,5 +53,31 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("hits").Load(); got != 8000 {
 		t.Fatalf("hits = %d, want 8000", got)
+	}
+}
+
+func TestCountReader(t *testing.T) {
+	var a, b Counter
+	rc := CountReader(io.NopCloser(strings.NewReader("hello world")), &a, nil, &b)
+	buf := make([]byte, 4)
+	if _, err := io.ReadFull(rc, buf); err != nil {
+		t.Fatal(err)
+	}
+	// Counts are current while the stream is open, not deferred to Close.
+	if a.Load() != 4 || b.Load() != 4 {
+		t.Fatalf("after 4 bytes: a=%d b=%d", a.Load(), b.Load())
+	}
+	if _, err := io.ReadAll(rc); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Load() != 11 || b.Load() != 11 {
+		t.Errorf("after EOF: a=%d b=%d, want 11", a.Load(), b.Load())
+	}
+	a.Reset()
+	if a.Load() != 0 || b.Load() != 11 {
+		t.Errorf("after Reset: a=%d b=%d", a.Load(), b.Load())
 	}
 }

@@ -88,15 +88,6 @@ func gatedCacheCluster(t *testing.T, g *gateFilter) (*Cluster, *resultcache.Cach
 	return c, cache
 }
 
-func cacheStatusOf(t *testing.T, rc io.ReadCloser) string {
-	t.Helper()
-	s, ok := rc.(CacheStatuser)
-	if !ok {
-		return ""
-	}
-	return s.CacheStatus()
-}
-
 // TestCacheSingleflightHerd is the core concurrency guarantee: N concurrent
 // identical filtered GETs execute the storlet engine exactly once, every
 // waiter gets byte-identical bodies, and statuses split into one miss plus
@@ -119,14 +110,14 @@ func TestCacheSingleflightHerd(t *testing.T) {
 	for i := 0; i < herd; i++ {
 		go func(i int) {
 			defer opened.Done()
-			rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv",
+			rc, info, err := cl.GetObject(ctx, "gp", "meters", "jan.csv",
 				GetOptions{Pushdown: []*pushdown.Task{task}})
 			if err != nil {
 				openErrs[i] = err
 				return
 			}
 			readers[i] = rc
-			statuses[i] = cacheStatusOf(t, rc)
+			statuses[i] = info.CacheStatus
 		}(i)
 	}
 	// Every member of the herd holds an open stream while the filter is
@@ -161,12 +152,12 @@ func TestCacheSingleflightHerd(t *testing.T) {
 
 	// The settled flight serves subsequent requests as hits with no further
 	// engine work.
-	rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv",
+	rc, info, err := cl.GetObject(ctx, "gp", "meters", "jan.csv",
 		GetOptions{Pushdown: []*pushdown.Task{task}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cacheStatusOf(t, rc); got != string(resultcache.StatusHit) {
+	if got := info.CacheStatus; got != string(resultcache.StatusHit) {
 		t.Fatalf("post-herd status = %q, want hit", got)
 	}
 	if readAll(t, rc) != g.full() {
@@ -198,11 +189,11 @@ func TestCacheLateJoinerReplaysPrefix(t *testing.T) {
 	if _, err := io.ReadFull(leader, head); err != nil {
 		t.Fatal(err)
 	}
-	late, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+	late, lateInfo, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cacheStatusOf(t, late); got != string(resultcache.StatusCollapsed) {
+	if got := lateInfo.CacheStatus; got != string(resultcache.StatusCollapsed) {
 		t.Fatalf("late joiner status = %q, want collapsed", got)
 	}
 	close(g.release)
@@ -236,11 +227,11 @@ func TestCacheLeaderCancelMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+	follower, followerInfo, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cacheStatusOf(t, follower); got != string(resultcache.StatusCollapsed) {
+	if got := followerInfo.CacheStatus; got != string(resultcache.StatusCollapsed) {
 		t.Fatalf("follower status = %q, want collapsed", got)
 	}
 
@@ -345,7 +336,7 @@ func TestCacheFillMismatchGuard(t *testing.T) {
 	opts := GetOptions{Pushdown: []*pushdown.Task{task}}
 	want := "V3\nV4\n" // current replica content — correct for the caller
 
-	rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+	rc, info, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +345,11 @@ func TestCacheFillMismatchGuard(t *testing.T) {
 	}
 	// The mismatch guard must have refused to store v2's bytes under v1's
 	// key, so the next identical request re-executes instead of hitting.
-	rc, _, err = cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+	rc, info, err = cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cacheStatusOf(t, rc); got == string(resultcache.StatusHit) {
+	if got := info.CacheStatus; got == string(resultcache.StatusHit) {
 		t.Fatal("mismatched fill was served as a hit (stale-mapping hazard)")
 	}
 	if got := readAll(t, rc); got != want {
@@ -390,11 +381,11 @@ func TestCachePutInvalidationFreshness(t *testing.T) {
 	opts := GetOptions{Pushdown: []*pushdown.Task{task}}
 
 	get := func() (string, string) {
-		rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+		rc, info, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return readAll(t, rc), cacheStatusOf(t, rc)
+		return readAll(t, rc), info.CacheStatus
 	}
 	if body, status := get(); body != "V3\n" || status != string(resultcache.StatusMiss) {
 		t.Fatalf("cold get = %q (%s)", body, status)
@@ -435,11 +426,11 @@ func TestCacheUnprovenFilterNeverCached(t *testing.T) {
 	opts := GetOptions{Pushdown: []*pushdown.Task{{Filter: "ident-unproven"}}}
 
 	for i := 0; i < 2; i++ {
-		rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+		rc, info, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if status := cacheStatusOf(t, rc); status != "" {
+		if status := info.CacheStatus; status != "" {
 			t.Fatalf("get %d: unproven chain got cache status %q", i, status)
 		}
 		if readAll(t, rc) != meterCSV {
@@ -479,11 +470,11 @@ func TestCacheHTTPHeaderAndClientCounters(t *testing.T) {
 	var bodies []string
 	var statuses []string
 	for i := 0; i < 2; i++ {
-		rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+		rc, info, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		statuses = append(statuses, cacheStatusOf(t, rc))
+		statuses = append(statuses, info.CacheStatus)
 		bodies = append(bodies, readAll(t, rc))
 	}
 	if statuses[0] != "miss" || statuses[1] != "hit" {

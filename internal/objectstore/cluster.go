@@ -30,18 +30,12 @@ type ClusterConfig struct {
 	// DataDir, when set, backs each object node with an on-disk store under
 	// DataDir/<node-name> instead of memory (scoopd persistence).
 	DataDir string
-	// WriteQuorum is the minimum replica writes for a successful PUT;
-	// 0 means majority of Replicas (2 of 3 at the default shape).
-	WriteQuorum int
 	// StoreWrap, when set, wraps each node's storage engine at construction
 	// — the seam the chaos suite uses to inject per-node faults.
 	StoreWrap func(node string, s Store) Store
 	// ResultCacheBytes bounds the shared pushdown result cache (LRU by body
 	// bytes); <= 0 disables the cache entirely.
 	ResultCacheBytes int64
-	// ResultCacheEntryBytes bounds a single cached body; 0 defaults to
-	// ResultCacheBytes/8.
-	ResultCacheEntryBytes int64
 
 	// RepairInterval, when > 0, starts a background loop draining the
 	// proxies' repair queues at that pace (with seeded jitter). 0 leaves
@@ -102,7 +96,7 @@ type Cluster struct {
 	closed     atomic.Bool
 
 	next    atomic.Uint64
-	lbBytes atomic.Int64
+	lbBytes metrics.Counter
 }
 
 // NewCluster builds and balances a cluster.
@@ -162,16 +156,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// cross-proxy sharing is always safe, and a herd spread across
 		// proxies by the load balancer still collapses to one execution.
 		c.cache = resultcache.New(resultcache.Config{
-			Capacity:      cfg.ResultCacheBytes,
-			MaxEntryBytes: cfg.ResultCacheEntryBytes,
-			Proven:        detmanifest.IsProven,
-			Metrics:       c.metrics,
+			Capacity: cfg.ResultCacheBytes,
+			Proven:   detmanifest.IsProven,
+			Metrics:  c.metrics,
 		})
 	}
 	for i := 0; i < cfg.Proxies; i++ {
 		p := NewProxy(fmt.Sprintf("proxy-%02d", i), rg, c.members, engine, c.reg)
 		p.SetMetrics(c.metrics)
-		p.SetWriteQuorum(cfg.WriteQuorum)
 		p.SetResultCache(c.cache)
 		c.proxies = append(c.proxies, p)
 	}
@@ -317,7 +309,7 @@ func (c *Cluster) LBBytes() int64 { return c.lbBytes.Load() }
 
 // ResetStats zeroes every proxy, node and LB counter.
 func (c *Cluster) ResetStats() {
-	c.lbBytes.Store(0)
+	c.lbBytes.Reset()
 	for _, p := range c.proxies {
 		p.ResetStats()
 	}
@@ -379,7 +371,7 @@ func (l *lbClient) GetObject(ctx context.Context, account, container, object str
 	if err != nil {
 		return nil, info, err
 	}
-	return &lbCounted{rc: rc, c: l.c}, info, nil
+	return metrics.CountReader(rc, &l.c.lbBytes), info, nil
 }
 
 func (l *lbClient) HeadObject(ctx context.Context, account, container, object string) (ObjectInfo, error) {
@@ -400,26 +392,4 @@ func (l *lbClient) ListContainers(ctx context.Context, account string) ([]string
 
 func (l *lbClient) DeleteContainer(ctx context.Context, account, container string) error {
 	return l.pick().DeleteContainer(ctx, account, container)
-}
-
-type lbCounted struct {
-	rc io.ReadCloser
-	c  *Cluster
-}
-
-func (l *lbCounted) Read(p []byte) (int, error) {
-	n, err := l.rc.Read(p)
-	l.c.lbBytes.Add(int64(n))
-	return n, err
-}
-
-func (l *lbCounted) Close() error { return l.rc.Close() }
-
-// CacheStatus forwards the result-cache status so the HTTP handler (which
-// sees only the lb-wrapped stream) can still emit HeaderCacheStatus.
-func (l *lbCounted) CacheStatus() string {
-	if s, ok := l.rc.(CacheStatuser); ok {
-		return s.CacheStatus()
-	}
-	return ""
 }

@@ -45,14 +45,6 @@ const (
 	HeaderRingMigrating = "X-Scoop-Ring-Migrating"
 )
 
-// CacheStatuser is implemented by streams that know how the result cache
-// served them; the handler surfaces the status in HeaderCacheStatus and
-// wrapping readers (load-balancer accounting, client trailer checking)
-// forward it.
-type CacheStatuser interface {
-	CacheStatus() string
-}
-
 // Handler serves the store API over HTTP, delegating to any Client —
 // typically a Cluster's load-balanced client, making this process the
 // combined LB + proxy tier of a deployment.
@@ -226,10 +218,8 @@ func (h *Handler) serveObject(w http.ResponseWriter, r *http.Request, account, c
 		defer rc.Close()
 		w.Header().Set("ETag", info.ETag)
 		setMetaHeaders(w.Header(), info.Meta)
-		if cs, ok := rc.(CacheStatuser); ok {
-			if s := cs.CacheStatus(); s != "" {
-				w.Header().Set(HeaderCacheStatus, s)
-			}
+		if info.CacheStatus != "" {
+			w.Header().Set(HeaderCacheStatus, info.CacheStatus)
 		}
 		if len(opts.Pushdown) > 0 {
 			// Filtered streams have no Content-Length, so a mid-stream filter

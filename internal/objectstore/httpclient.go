@@ -206,24 +206,23 @@ func (c *HTTPClient) GetObject(ctx context.Context, account, container, object s
 		return nil, ObjectInfo{}, statusErr(resp)
 	}
 	info := ObjectInfo{
-		Account:   account,
-		Container: container,
-		Name:      object,
-		ETag:      resp.Header.Get("ETag"),
-		Size:      resp.ContentLength,
-		Meta:      metaFromHeaders(resp.Header),
+		Account:     account,
+		Container:   container,
+		Name:        object,
+		ETag:        resp.Header.Get("ETag"),
+		Size:        resp.ContentLength,
+		Meta:        metaFromHeaders(resp.Header),
+		CacheStatus: resp.Header.Get(HeaderCacheStatus),
+	}
+	if info.CacheStatus != "" {
+		c.Metrics.Counter("client.cache." + info.CacheStatus).Inc()
 	}
 	body := resp.Body
 	if len(opts.Pushdown) > 0 {
 		// Filtered streams carry mid-stream failures in the error trailer
 		// (they have no Content-Length to check truncation against). Decode
 		// it into a typed ErrFilterFailed at EOF.
-		tc := &trailerChecked{rc: resp.Body, resp: resp}
-		if status := resp.Header.Get(HeaderCacheStatus); status != "" {
-			tc.cacheStatus = status
-			c.Metrics.Counter("client.cache." + status).Inc()
-		}
-		body = tc
+		body = &trailerChecked{rc: resp.Body, resp: resp}
 	}
 	// Plain streams with a known length get mid-stream resume: a short body
 	// is detected against Content-Length and re-read from the break via a
@@ -368,14 +367,10 @@ func statusErr(resp *http.Response) error {
 // after the body reads io.EOF, so the check happens exactly there; bytes
 // read in the same call as the EOF are delivered before the error.
 type trailerChecked struct {
-	rc          io.ReadCloser
-	resp        *http.Response
-	cacheStatus string // decoded HeaderCacheStatus, "" when absent
-	err         error  // sticky decoded trailer error
+	rc   io.ReadCloser
+	resp *http.Response
+	err  error // sticky decoded trailer error
 }
-
-// CacheStatus exposes how the store's result cache served this stream.
-func (t *trailerChecked) CacheStatus() string { return t.cacheStatus }
 
 //lint:ignore ctxpropagate Read implements io.Reader (fixed signature); Trailer.Get is a header-map lookup, not real I/O — cancellation flows through the request context already attached to t.rc.
 func (t *trailerChecked) Read(p []byte) (int, error) {

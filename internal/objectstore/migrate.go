@@ -347,11 +347,7 @@ func (c *Cluster) verifyHandoff(ctx context.Context, path string, etag string, r
 			holding++
 		}
 	}
-	quorum := len(nodes)/2 + 1
-	if c.cfg.WriteQuorum > 0 && c.cfg.WriteQuorum < quorum {
-		quorum = c.cfg.WriteQuorum
-	}
-	if holding < quorum {
+	if quorum := writeQuorum(len(nodes)); holding < quorum {
 		return fmt.Errorf("handoff %s: %d/%d new-placement replicas hold %s (quorum %d)",
 			path, holding, len(nodes), etag, quorum)
 	}

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
 )
@@ -18,13 +18,14 @@ import (
 // serving).
 type NodeStats struct {
 	// BytesRead counts bytes read from local storage: what the caller (or
-	// the filter chain) actually pulled from the store stream, charged when
-	// the stream closes. A GET open to the object's end that is closed
-	// early charges only the prefix it read.
+	// the filter chain) actually pulled from the store stream, charged as
+	// it is read. A GET open to the object's end that is closed early
+	// charges only the prefix it read.
 	BytesRead int64
 	// BytesSent counts bytes returned to the proxy (post-filter).
 	BytesSent int64
-	// FilterTime is wall time spent inside pushdown filters.
+	// FilterTime is wall time spent inside pushdown filters, from the
+	// chain's start to the filtered stream's Close.
 	FilterTime time.Duration
 	// Requests counts GET requests served.
 	Requests int64
@@ -44,8 +45,9 @@ type Node struct {
 
 	down atomic.Bool
 
-	mu    sync.Mutex
-	stats NodeStats
+	// The NodeStats counters, each added to as the work happens.
+	bytesRead, bytesSent, filterNanos metrics.Counter
+	requests, filteredRequests, errs  metrics.Counter
 }
 
 // NewNode creates a memory-backed object node. Nodes share the engine: in a
@@ -67,36 +69,34 @@ func (n *Node) Name() string { return n.name }
 // SetDown marks the node unavailable (failure injection for replica tests).
 func (n *Node) SetDown(down bool) { n.down.Store(down) }
 
-// Stats returns a copy of the node's counters.
+// Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() NodeStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+	return NodeStats{
+		BytesRead:        n.bytesRead.Load(),
+		BytesSent:        n.bytesSent.Load(),
+		FilterTime:       time.Duration(n.filterNanos.Load()),
+		Requests:         n.requests.Load(),
+		FilteredRequests: n.filteredRequests.Load(),
+		Errors:           n.errs.Load(),
+	}
 }
 
 // ResetStats zeroes the counters (benchmarks reuse clusters).
 func (n *Node) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = NodeStats{}
-}
-
-// countError accounts one failed operation.
-func (n *Node) countError() {
-	n.mu.Lock()
-	n.stats.Errors++
-	n.mu.Unlock()
+	for _, c := range []*metrics.Counter{&n.bytesRead, &n.bytesSent, &n.filterNanos, &n.requests, &n.filteredRequests, &n.errs} {
+		c.Reset()
+	}
 }
 
 // Put stores a replica of the object.
 func (n *Node) Put(ctx context.Context, info ObjectInfo, r io.Reader) (ObjectInfo, error) {
 	if n.down.Load() {
-		n.countError()
+		n.errs.Inc()
 		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
 	si, err := n.store.Put(ctx, info, r)
 	if err != nil {
-		n.countError()
+		n.errs.Inc()
 		return ObjectInfo{}, err
 	}
 	return si, nil
@@ -115,7 +115,7 @@ func (n *Node) Get(ctx context.Context, path string, start, end int64, tasks []*
 // miss, not a storlet invocation.
 func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, tasks []*pushdown.Task, wantETag string) (io.ReadCloser, ObjectInfo, error) {
 	if n.down.Load() {
-		n.countError()
+		n.errs.Inc()
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
 	// Pushdown filters over record-structured data must finish the record
@@ -128,7 +128,7 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	}
 	rc, info, err := n.store.Get(ctx, path, start, fetchEnd)
 	if err != nil {
-		n.countError()
+		n.errs.Inc()
 		return nil, ObjectInfo{}, err
 	}
 	if wantETag != "" && info.ETag != wantETag {
@@ -139,15 +139,11 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	if end <= 0 || end > info.Size {
 		end = info.Size
 	}
-	n.mu.Lock()
-	n.stats.Requests++
-	if len(tasks) > 0 {
-		n.stats.FilteredRequests++
-	}
-	n.mu.Unlock()
+	n.requests.Inc()
 	if len(tasks) == 0 {
-		return &countedCloser{rc: rc, node: n}, info, nil
+		return metrics.CountReader(rc, &n.bytesRead, &n.bytesSent), info, nil
 	}
+	n.filteredRequests.Inc()
 	sctx := &storlet.Context{
 		Ctx:        ctx,
 		RangeStart: start,
@@ -155,16 +151,12 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 		ObjectSize: info.Size,
 	}
 	filterStart := time.Now()
-	src := &storeCounter{r: rc}
-	out, err := n.engine.RunChain(sctx, tasks, src)
+	out, err := n.engine.RunChain(sctx, tasks, metrics.CountReader(rc, &n.bytesRead))
 	if err != nil {
-		rc.Close()
-		n.countError()
+		n.errs.Inc()
 		return nil, ObjectInfo{}, fmt.Errorf("node %s: %w", n.name, err)
 	}
-	// The chain never closes its input; tie the store reader's lifetime to
-	// the filtered stream so disk-backed stores don't leak descriptors.
-	return &countedCloser{rc: out, node: n, filterStart: filterStart, src: src, also: rc}, info, nil
+	return &filterTimed{ReadCloser: metrics.CountReader(out, &n.bytesSent), node: n, start: filterStart}, info, nil
 }
 
 // Ping probes the node's storage engine for liveness — the health check's
@@ -186,7 +178,7 @@ func (n *Node) Ping(ctx context.Context) error {
 // Head returns a replica's metadata.
 func (n *Node) Head(ctx context.Context, path string) (ObjectInfo, error) {
 	if n.down.Load() {
-		n.countError()
+		n.errs.Inc()
 		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
 	return n.store.Head(ctx, path)
@@ -195,7 +187,7 @@ func (n *Node) Head(ctx context.Context, path string) (ObjectInfo, error) {
 // Delete removes a replica.
 func (n *Node) Delete(ctx context.Context, path string) error {
 	if n.down.Load() {
-		n.countError()
+		n.errs.Inc()
 		return fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
 	n.store.Delete(ctx, path)
@@ -205,70 +197,27 @@ func (n *Node) Delete(ctx context.Context, path string) error {
 // List lists replicas by path prefix.
 func (n *Node) List(ctx context.Context, prefix string) ([]ObjectInfo, error) {
 	if n.down.Load() {
-		n.countError()
+		n.errs.Inc()
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
 	return n.store.List(ctx, prefix), nil
 }
 
-// countedCloser accounts bytes read and sent, and filter wall time, as the
-// stream is consumed.
-type countedCloser struct {
-	rc          io.ReadCloser
-	node        *Node
-	n           int64
-	filterStart time.Time
-	// src counts what a filter chain pulled from the store stream; nil for
-	// an unfiltered GET, whose bytes read are the bytes sent.
-	src    *storeCounter
+// filterTimed charges a filtered GET's wall time to the node when the
+// stream closes.
+type filterTimed struct {
+	io.ReadCloser
+	node   *Node
+	start  time.Time
 	closed bool
-	// also is an extra resource released on Close (the raw store stream
-	// feeding a filter chain).
-	also io.Closer
 }
 
-func (c *countedCloser) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countedCloser) Close() error {
-	if c.closed {
+func (f *filterTimed) Close() error {
+	if f.closed {
 		return nil
 	}
-	c.closed = true
-	read := c.n
-	if c.src != nil {
-		read = c.src.n.Load()
-	}
-	c.node.mu.Lock()
-	c.node.stats.BytesRead += read
-	c.node.stats.BytesSent += c.n
-	if c.src != nil {
-		c.node.stats.FilterTime += time.Since(c.filterStart)
-	}
-	c.node.mu.Unlock()
-	err := c.rc.Close()
-	if c.also != nil {
-		// The chain goroutines may still be draining the store stream;
-		// closing rc (the pipe) stops them first, then this is safe.
-		if aerr := c.also.Close(); err == nil {
-			err = aerr
-		}
-	}
+	f.closed = true
+	err := f.ReadCloser.Close()
+	f.node.filterNanos.Add(int64(time.Since(f.start)))
 	return err
-}
-
-// storeCounter counts the bytes a filter chain reads from the store stream.
-// The chain reads on its own goroutine, so the count is atomic.
-type storeCounter struct {
-	r io.Reader
-	n atomic.Int64
-}
-
-func (s *storeCounter) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	s.n.Add(int64(n))
-	return n, err
 }

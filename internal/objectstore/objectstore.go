@@ -44,6 +44,10 @@ type ObjectInfo struct {
 	Created   time.Time
 	// Meta holds user metadata (the X-Object-Meta-* headers).
 	Meta map[string]string
+	// CacheStatus reports how the result cache served a GET (see
+	// HeaderCacheStatus); "" when it did not. It describes one response,
+	// never the stored object, so it is not persisted.
+	CacheStatus string `json:"-"`
 }
 
 // Path returns the ring key of the object.

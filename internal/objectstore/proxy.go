@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
@@ -59,9 +58,6 @@ type Proxy struct {
 	engine *storlet.Engine
 	reg    *Registry
 
-	// quorum is the minimum replica writes for a successful PUT;
-	// 0 means majority of the ring's replica count.
-	quorum  int
 	metrics *metrics.Registry
 
 	// cache, when set, serves repeated identical pushdowns from memory and
@@ -74,8 +70,8 @@ type Proxy struct {
 	repairs     []RepairRecord
 	asyncRepair func(RepairRecord)
 
-	statMu sync.Mutex
-	stats  ProxyStats
+	// The ProxyStats counters, each added to as the traffic flows.
+	requests, bytesToClient, bytesFromNodes, putBytes metrics.Counter
 }
 
 // NewProxy creates a proxy over the given ring, live node set and shared
@@ -92,40 +88,31 @@ func (p *Proxy) Name() string { return p.name }
 // quorum degradations, repairs) are counted there. nil disables counting.
 func (p *Proxy) SetMetrics(r *metrics.Registry) { p.metrics = r }
 
-// SetWriteQuorum overrides the PUT write quorum; q <= 0 restores the
-// default (majority of the ring's replicas).
-func (p *Proxy) SetWriteQuorum(q int) { p.quorum = q }
-
 // SetResultCache attaches a pushdown result cache; nil disables caching.
 func (p *Proxy) SetResultCache(c *resultcache.Cache) { p.cache = c }
 
 // count bumps a named recovery counter; safe with no registry attached.
 func (p *Proxy) count(name string) { p.metrics.Counter(name).Inc() }
 
-// writeQuorum resolves the effective quorum for n replica targets.
-func (p *Proxy) writeQuorum(n int) int {
-	q := p.quorum
-	if q <= 0 {
-		q = n/2 + 1
-	}
-	if q > n {
-		q = n
-	}
-	return q
-}
+// writeQuorum is the minimum replica writes for a successful PUT to n
+// replica targets: a majority, capped at n.
+func writeQuorum(n int) int { return min(n/2+1, n) }
 
-// Stats returns a copy of the proxy's counters.
+// Stats returns a snapshot of the proxy's counters.
 func (p *Proxy) Stats() ProxyStats {
-	p.statMu.Lock()
-	defer p.statMu.Unlock()
-	return p.stats
+	return ProxyStats{
+		Requests:       p.requests.Load(),
+		BytesToClient:  p.bytesToClient.Load(),
+		BytesFromNodes: p.bytesFromNodes.Load(),
+		PutBytes:       p.putBytes.Load(),
+	}
 }
 
 // ResetStats zeroes the proxy counters.
 func (p *Proxy) ResetStats() {
-	p.statMu.Lock()
-	defer p.statMu.Unlock()
-	p.stats = ProxyStats{}
+	for _, c := range []*metrics.Counter{&p.requests, &p.bytesToClient, &p.bytesFromNodes, &p.putBytes} {
+		c.Reset()
+	}
 }
 
 // CreateContainer implements Client.
@@ -203,7 +190,7 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	stream := r
 	if len(policy.PutPipeline) > 0 {
 		sctx := &storlet.Context{Ctx: ctx, RangeStart: 0, RangeEnd: int64(1) << 62, ObjectSize: -1}
-		rc, err := p.engine.RunChain(sctx, policy.PutPipeline, r)
+		rc, err := p.engine.RunChain(sctx, policy.PutPipeline, io.NopCloser(r))
 		if err != nil {
 			return ObjectInfo{}, fmt.Errorf("put pipeline: %w", err)
 		}
@@ -216,9 +203,7 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("objectstore: put %s: %w", object, err)
 	}
-	p.statMu.Lock()
-	p.stats.PutBytes += n
-	p.statMu.Unlock()
+	p.putBytes.Add(n)
 
 	info := ObjectInfo{Account: account, Container: container, Name: object, Meta: cloneMeta(meta)}
 	nodes, err := p.replicaNodes(info.Path())
@@ -243,7 +228,7 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	// (by default 2 of 3) hold the object; the durability gap is recorded
 	// for asynchronous repair. Below quorum the PUT fails with the typed
 	// per-node causes.
-	if quorum := p.writeQuorum(len(nodes)); ok < quorum {
+	if quorum := writeQuorum(len(nodes)); ok < quorum {
 		p.count("proxy.put.quorum_failed")
 		return ObjectInfo{}, &ReplicationError{
 			Path: info.Path(), Want: quorum, Got: ok, Replicas: len(nodes), Causes: causes,
@@ -385,19 +370,18 @@ func (p *Proxy) cachedGet(ctx context.Context, account, container, object string
 	if err != nil {
 		return nil, ObjectInfo{}, true, err
 	}
-	switch status {
-	case resultcache.StatusBypass:
+	if status == resultcache.StatusBypass {
 		return nil, ObjectInfo{}, false, nil
-	case resultcache.StatusMiss:
+	}
+	info.CacheStatus = string(status)
+	if status == resultcache.StatusMiss {
 		// The fill already runs through getUncached, whose counters account
 		// this request and its bytes once.
 		return rc, info, true, nil
-	default: // hit, collapsed
-		p.statMu.Lock()
-		p.stats.Requests++
-		p.statMu.Unlock()
-		return &cacheCounted{rc: rc, p: p}, info, true, nil
 	}
+	// hit, collapsed
+	p.requests.Inc()
+	return metrics.CountReader(rc, &p.bytesToClient), info, true, nil
 }
 
 // getUncached is the uncached GET path: replica fetch with failover,
@@ -444,12 +428,9 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 			}
 		}
 	}
-	p.statMu.Lock()
-	p.stats.Requests++
-	p.statMu.Unlock()
-	counted := &proxyCounted{rc: rc, p: p, toClient: len(proxyStage) == 0}
+	p.requests.Inc()
 	if len(proxyStage) == 0 {
-		return counted, info, nil
+		return metrics.CountReader(rc, &p.bytesFromNodes, &p.bytesToClient), info, nil
 	}
 	// Proxy-stage filters see the (possibly already filtered) stream, not
 	// raw object bytes. Their range covers the whole derived stream unless
@@ -463,12 +444,11 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 		}
 		sctx.RangeStart, sctx.RangeEnd = opts.RangeStart, end
 	}
-	out, err := p.engine.RunChain(sctx, proxyStage, counted)
+	out, err := p.engine.RunChain(sctx, proxyStage, metrics.CountReader(rc, &p.bytesFromNodes))
 	if err != nil {
-		counted.Close()
 		return nil, ObjectInfo{}, err
 	}
-	return &proxyOutCounted{rc: out, p: p, inner: counted}, info, nil
+	return metrics.CountReader(out, &p.bytesToClient), info, nil
 }
 
 // fetchReplica opens the object on the first replica that can deliver its
@@ -617,104 +597,6 @@ func (p *Proxy) DeleteContainer(_ context.Context, account, container string) er
 	}
 	delete(acc.containers, container)
 	return nil
-}
-
-// proxyCounted accounts bytes arriving from object nodes; absent proxy-stage
-// filtering the same bytes continue to the client. The counter is atomic
-// because in the proxy-stage path a filter goroutine reads this stream while
-// the client goroutine closes it.
-type proxyCounted struct {
-	rc       io.ReadCloser
-	p        *Proxy
-	n        atomic.Int64
-	closed   atomic.Bool
-	toClient bool // whether these bytes also count as client traffic
-}
-
-func (c *proxyCounted) Read(b []byte) (int, error) {
-	n, err := c.rc.Read(b)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-func (c *proxyCounted) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	n := c.n.Load()
-	c.p.statMu.Lock()
-	c.p.stats.BytesFromNodes += n
-	if c.toClient {
-		c.p.stats.BytesToClient += n
-	}
-	c.p.statMu.Unlock()
-	return c.rc.Close()
-}
-
-// proxyOutCounted accounts post-proxy-filter bytes to the client. Closing it
-// tears down the filter chain and then flushes the inner node-side counter
-// (the storlet engine never closes its input stream).
-type proxyOutCounted struct {
-	rc     io.ReadCloser
-	p      *Proxy
-	inner  *proxyCounted
-	n      int64
-	closed bool
-}
-
-func (c *proxyOutCounted) Read(b []byte) (int, error) {
-	n, err := c.rc.Read(b)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *proxyOutCounted) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	err := c.rc.Close() // stops the chain; the filter's next read/write fails
-	c.inner.Close()     // flush node->proxy accounting
-	c.p.statMu.Lock()
-	c.p.stats.BytesToClient += c.n
-	c.p.statMu.Unlock()
-	return err
-}
-
-// cacheCounted accounts cache-served bytes (hit/collapsed) to the client.
-// Miss-status streams are not wrapped: their bytes are accounted once by the
-// fill's own counted readers. Forwards CacheStatus so the handler can emit
-// the X-Scoop-Cache header.
-type cacheCounted struct {
-	rc     io.ReadCloser
-	p      *Proxy
-	n      int64
-	closed bool
-}
-
-func (c *cacheCounted) Read(b []byte) (int, error) {
-	n, err := c.rc.Read(b)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *cacheCounted) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.p.statMu.Lock()
-	c.p.stats.BytesToClient += c.n
-	c.p.statMu.Unlock()
-	return c.rc.Close()
-}
-
-// CacheStatus implements CacheStatuser by delegation.
-func (c *cacheCounted) CacheStatus() string {
-	if s, ok := c.rc.(CacheStatuser); ok {
-		return s.CacheStatus()
-	}
-	return ""
 }
 
 // IsNotFound reports whether err means the object or container is missing.

@@ -29,6 +29,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"io"
@@ -182,7 +183,9 @@ func (c *Cache) GetOrStart(ctx context.Context, key Key, path string, fill FillF
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
 		c.count("hits")
-		return &entryReader{body: e.body}, StatusHit, nil
+		// Entries are never mutated after commit, so the reader stays valid
+		// across eviction and invalidation.
+		return io.NopCloser(bytes.NewReader(e.body)), StatusHit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		f.mu.Lock()
@@ -197,7 +200,7 @@ func (c *Cache) GetOrStart(ctx context.Context, key Key, path string, fill FillF
 			return nil, StatusBypass, nil
 		}
 		c.count("collapses")
-		return &flightReader{f: f, ctx: ctx, status: StatusCollapsed}, StatusCollapsed, nil
+		return &flightReader{f: f, ctx: ctx}, StatusCollapsed, nil
 	}
 
 	// Become the leader: register the flight before running the fill so
@@ -229,7 +232,7 @@ func (c *Cache) GetOrStart(ctx context.Context, key Key, path string, fill FillF
 		c.count("fill_mismatch")
 	}
 	go f.pump(fctx, src)
-	return &flightReader{f: f, ctx: ctx, status: StatusMiss}, StatusMiss, nil
+	return &flightReader{f: f, ctx: ctx}, StatusMiss, nil
 }
 
 // InvalidatePath removes every entry and cuts off every in-flight fill for
@@ -426,7 +429,6 @@ func (f *flight) detach() {
 type flightReader struct {
 	f      *flight
 	ctx    context.Context
-	status Status
 	pos    int
 	closed bool
 }
@@ -466,27 +468,3 @@ func (r *flightReader) Close() error {
 	r.f.detach()
 	return nil
 }
-
-// CacheStatus implements the objectstore CacheStatuser plumbing.
-func (r *flightReader) CacheStatus() string { return string(r.status) }
-
-// entryReader streams an immutable stored body. Entries are never mutated
-// after commit, so the reader stays valid across eviction and invalidation.
-type entryReader struct {
-	body []byte
-	pos  int
-}
-
-func (r *entryReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.body) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.body[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *entryReader) Close() error { return nil }
-
-// CacheStatus implements the objectstore CacheStatuser plumbing.
-func (r *entryReader) CacheStatus() string { return string(StatusHit) }

@@ -80,7 +80,7 @@ func TestPipelineWithCSVFilter(t *testing.T) {
 		{Filter: FilterName},
 	}
 	base := &storlet.Context{RangeEnd: int64(len(data)), ObjectSize: int64(len(data))}
-	rc, err := e.RunChain(base, tasks, strings.NewReader(data))
+	rc, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

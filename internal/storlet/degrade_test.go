@@ -344,7 +344,7 @@ func TestBreakerRefusalNotCountedAgainstChainPropagation(t *testing.T) {
 	// Two chain runs propagate flaky's failure through upper and trip
 	// flaky's breaker at the threshold.
 	for i := 0; i < 2; i++ {
-		rc, err := e.RunChain(base, tasks, strings.NewReader("x"))
+		rc, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader("x")))
 		if err != nil {
 			t.Fatalf("chain start: %v", err)
 		}
@@ -356,7 +356,7 @@ func TestBreakerRefusalNotCountedAgainstChainPropagation(t *testing.T) {
 		}
 	}
 	// The third chain is refused up-front by flaky's open breaker.
-	if _, err := e.RunChain(base, tasks, strings.NewReader("x")); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader("x"))); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("want ErrBreakerOpen starting third chain, got %v", err)
 	}
 	if st := e.BreakerState("upper"); st != "closed" {

@@ -157,7 +157,7 @@ func (p *pipelineFilter) Invoke(ctx *Context, in io.Reader, out io.Writer) error
 		ObjectSize: ctx.ObjectSize,
 		Log:        ctx.Log,
 	}
-	rc, err := p.engine.RunChain(base, tasks, in)
+	rc, err := p.engine.RunChain(base, tasks, io.NopCloser(in))
 	if err != nil {
 		return err
 	}

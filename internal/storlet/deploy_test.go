@@ -124,7 +124,7 @@ func TestRunChainPropagatesFirstStageError(t *testing.T) {
 	e := newTestEngine(t, Limits{}, boom, upper, reverse)
 	base := &Context{RangeEnd: 3, ObjectSize: 3}
 	tasks := []*pushdown.Task{{Filter: "boom"}, {Filter: "upper"}, {Filter: "reverse"}}
-	rc, err := e.RunChain(base, tasks, strings.NewReader("abc"))
+	rc, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader("abc")))
 	if err != nil {
 		t.Fatalf("chain start: %v", err)
 	}

@@ -130,7 +130,7 @@ func TestPutPathPipeline(t *testing.T) {
 		{Filter: SplitName, Options: map[string]string{"column": "1"}},
 	}
 	base := &storlet.Context{RangeEnd: int64(len(data)), ObjectSize: int64(len(data))}
-	rc, err := e.RunChain(base, tasks, strings.NewReader(data))
+	rc, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

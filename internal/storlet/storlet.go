@@ -435,11 +435,16 @@ func countableFailure(name string, err error) bool {
 // RunChain pipes in through each task's filter in order (pipelining). Every
 // stage gets its own sandbox goroutine; ranges apply to the first stage only
 // (later stages see the previous stage's output, not raw object bytes).
-func (e *Engine) RunChain(base *Context, tasks []*pushdown.Task, in io.Reader) (io.ReadCloser, error) {
+//
+// RunChain owns in: it closes in when it fails, and closing the returned
+// stream closes the chain's output first — so the filters stop on their
+// next write — and then in.
+func (e *Engine) RunChain(base *Context, tasks []*pushdown.Task, in io.ReadCloser) (io.ReadCloser, error) {
 	if len(tasks) == 0 {
+		in.Close()
 		return nil, errors.New("storlet: empty task chain")
 	}
-	var cur io.ReadCloser = io.NopCloser(in)
+	var cur io.ReadCloser = in
 	for i, task := range tasks {
 		ctx := &Context{
 			Ctx:        base.Ctx,
@@ -455,12 +460,39 @@ func (e *Engine) RunChain(base *Context, tasks []*pushdown.Task, in io.Reader) (
 		}
 		next, err := e.run(ctx, cur, i == 0)
 		if err != nil {
-			cur.Close()
+			if cur != in {
+				cur.Close()
+			}
+			in.Close()
 			return nil, err
 		}
 		cur = next
 	}
-	return cur, nil
+	return &chainOutput{out: cur, in: in}, nil
+}
+
+// chainOutput is a chain's output stream; Close releases the chain's input
+// after its output.
+type chainOutput struct {
+	out    io.ReadCloser
+	in     io.Closer
+	closed bool
+}
+
+func (c *chainOutput) Read(p []byte) (int, error) { return c.out.Read(p) }
+
+func (c *chainOutput) Close() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	// The chain goroutines may still be reading in; closing out stops
+	// them first.
+	err := c.out.Close()
+	if ierr := c.in.Close(); err == nil {
+		err = ierr
+	}
+	return err
 }
 
 func (e *Engine) account(name string, in, out int64, wall time.Duration, err error) {

@@ -176,7 +176,7 @@ func TestRunChainPipelining(t *testing.T) {
 	e := newTestEngine(t, Limits{}, upper, reverse)
 	tasks := []*pushdown.Task{{Filter: "upper"}, {Filter: "reverse"}}
 	base := &Context{RangeEnd: 3, ObjectSize: 3}
-	rc, err := e.RunChain(base, tasks, strings.NewReader("abc"))
+	rc, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader("abc")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +189,57 @@ func TestRunChainPipelining(t *testing.T) {
 
 func TestRunChainErrors(t *testing.T) {
 	e := newTestEngine(t, Limits{}, upper)
-	if _, err := e.RunChain(&Context{}, nil, strings.NewReader("")); err == nil {
+	if _, err := e.RunChain(&Context{}, nil, io.NopCloser(strings.NewReader(""))); err == nil {
 		t.Error("empty chain should fail")
 	}
 	tasks := []*pushdown.Task{{Filter: "upper"}, {Filter: "ghost"}}
-	if _, err := e.RunChain(&Context{RangeEnd: 1, ObjectSize: 1}, tasks, strings.NewReader("x")); err == nil {
+	if _, err := e.RunChain(&Context{RangeEnd: 1, ObjectSize: 1}, tasks, io.NopCloser(strings.NewReader("x"))); err == nil {
 		t.Error("chain with unknown filter should fail")
+	}
+}
+
+// closeLog records the order in which a chain's streams are closed.
+type closeLog struct {
+	io.Reader
+	name  string
+	order *[]string
+}
+
+func (c *closeLog) Close() error {
+	*c.order = append(*c.order, c.name)
+	return nil
+}
+
+func TestRunChainOwnsInput(t *testing.T) {
+	e := newTestEngine(t, Limits{}, upper, reverse)
+	var order []string
+	in := &closeLog{Reader: strings.NewReader("abc"), name: "in", order: &order}
+	rc, err := e.RunChain(&Context{RangeEnd: 3, ObjectSize: 3}, []*pushdown.Task{{Filter: "upper"}, {Filter: "reverse"}}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := io.ReadAll(rc); err != nil || string(b) != "CBA" {
+		t.Fatalf("got %q, %v", b, err)
+	}
+	if len(order) != 0 {
+		t.Fatalf("input closed before the output: %v", order)
+	}
+	rc.Close()
+	rc.Close()
+	if len(order) != 1 {
+		t.Errorf("closing the output twice closed the input %d times", len(order))
+	}
+
+	// A chain that fails to start closes its input too.
+	for _, tasks := range [][]*pushdown.Task{nil, {{Filter: "ghost"}}, {{Filter: "upper"}, {Filter: "ghost"}}} {
+		order = nil
+		in := &closeLog{Reader: strings.NewReader("x"), name: "in", order: &order}
+		if _, err := e.RunChain(&Context{RangeEnd: 1, ObjectSize: 1}, tasks, in); err == nil {
+			t.Fatalf("chain %v should fail", tasks)
+		}
+		if len(order) != 1 {
+			t.Errorf("failed chain %v closed its input %d times", tasks, len(order))
+		}
 	}
 }
 
@@ -264,7 +309,7 @@ func TestMaxConcurrentChainNoDeadlock(t *testing.T) {
 	e := newTestEngine(t, Limits{MaxConcurrent: 1, Timeout: 2 * time.Second}, upper, reverse)
 	tasks := []*pushdown.Task{{Filter: "upper"}, {Filter: "reverse"}}
 	base := &Context{RangeEnd: 3, ObjectSize: 3}
-	rc, err := e.RunChain(base, tasks, strings.NewReader("abc"))
+	rc, err := e.RunChain(base, tasks, io.NopCloser(strings.NewReader("abc")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,8 @@
 #                                     its own named step in the gate output
 #   6. go test -race -short ./...   fast-tier suite under the race detector
 #   7. go test -run TestAllocBudget   zero-allocation budgets for the record
-#                                     hot path — a separate non-race step
+#                                     hot path, in every package that
+#                                     defines one — a separate non-race step
 #                                     because the //go:build !race budget
 #                                     tests need uninstrumented allocation
 #                                     counts (the race detector allocates)
@@ -62,7 +63,16 @@ echo "==> go test -race -short ./..."
 go test -race -short ./...
 
 echo "==> go test -run TestAllocBudget (alloc budgets, no race)"
-go test -run TestAllocBudget ./internal/csvio/ ./internal/pushdown/ ./internal/storlet/csvfilter/
+# Every package of this module that defines a budget test, tracked or not
+# (testdata fixtures and the separate e2ebench module excluded).
+budget_pkgs=$(git grep -l --untracked 'func TestAllocBudget' -- '*_test.go' ':!**/testdata/**' ':!e2ebench/**' |
+	xargs -n1 dirname | sort -u | sed 's|^|./|')
+if [ -z "$budget_pkgs" ]; then
+	echo "alloc budgets: no package defines func TestAllocBudget" >&2
+	exit 1
+fi
+echo "$budget_pkgs"
+go test -run TestAllocBudget $budget_pkgs
 
 echo "==> (cd e2ebench && go test .) (end-to-end benchmark module)"
 (cd e2ebench && go test .)
